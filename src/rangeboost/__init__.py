@@ -12,17 +12,14 @@ from .baseline_models import (
 )
 from .boosted_trees import (
     Ensemble,
-    GradHess,
     RegressionTree,
     TrainConfig,
     TreeNode,
     find_best_split,
     from_json,
-    grad_hess_squared,
     grow_tree,
     leaf_weight,
     objective_value,
-    predict,
     split_gain,
     to_json,
     train,

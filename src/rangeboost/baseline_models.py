@@ -2,8 +2,9 @@
 
 All four share the same contract as the core learner: deterministic fit under
 a fixed config, pure predict, output length equal to the input row count.
-The GBDT baseline deliberately has no leaf or weight regularization so the
-contrast with the second-order learner stays visible.
+The GBDT baseline is the core tree learner with its leaf and weight
+regularization switched off (lambda = gamma = 0), so comparing the two
+isolates that regularization.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosted_trees import Ensemble, RegressionTree, TreeNode
+from .boosted_trees import Ensemble, TrainConfig, train
 from .errors import EmptyData, InvalidConfig, LayoutMismatch, NonFiniteInput
 
 
@@ -99,86 +100,28 @@ class GbdtBaselineConfig:
             raise InvalidConfig(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
 
 
-def _best_variance_split(matrix, rows, residuals, min_samples_leaf):
-    """Squared-error-reduction scan: for residual sums S over n rows the
-    reduction of a split is S_L^2/n_L + S_R^2/n_R - S^2/n.  First maximum in
-    (feature, threshold) order wins."""
-    n = rows.shape[0]
-    if n < 2 * min_samples_leaf or n < 2:
-        return None
-    sub = matrix[rows]
-    order = np.argsort(sub, axis=0, kind="stable")
-    values = np.take_along_axis(sub, order, axis=0)
-    r_sorted = residuals[rows][order]
-    r_cum = np.cumsum(r_sorted, axis=0)
-    total = r_cum[-1, :]
-    left_sum = r_cum[:-1, :]
-    left_n = np.arange(1, n, dtype=np.float64)[:, None]
-    right_n = n - left_n
-    usable = (
-        (values[:-1, :] < values[1:, :])
-        & (left_n >= min_samples_leaf)
-        & (right_n >= min_samples_leaf)
-    )
-    right_sum = total - left_sum
-    reductions = (
-        left_sum * left_sum / left_n
-        + right_sum * right_sum / right_n
-        - (total * total) / n
-    )
-    reductions = np.where(usable, reductions, -np.inf)
-    flat = reductions.T.ravel()
-    best = int(np.argmax(flat))
-    if not flat[best] > 0.0:
-        return None
-    col, boundary = divmod(best, n - 1)
-    threshold = (values[boundary, col] + values[boundary + 1, col]) / 2.0
-    return int(col), float(threshold)
-
-
 def fit_gbdt_first_order(matrix, targets, config: GbdtBaselineConfig | None = None) -> Ensemble:
     """Plain gradient boosting: each tree fits the current residuals with
     mean-residual leaves and variance-reduction splits, scaled by the
-    learning rate."""
+    learning rate.
+
+    Under squared loss the hessian is 1 per row, so variance reduction is
+    exactly twice the second-order gain at lambda = gamma = 0 and the mean
+    residual is the leaf weight -G/H: this is the core learner at those
+    settings, with min_child_weight = min_samples_leaf."""
     config = config or GbdtBaselineConfig()
     X, y = _as_xy(matrix, targets)
-    base = float(np.mean(y))
-    predictions = np.full(X.shape[0], base, dtype=np.float64)
-    all_rows = np.arange(X.shape[0])
-
-    def build(residuals):
-        nodes: list[TreeNode] = []
-
-        def grow(rows, depth):
-            split = None
-            if depth < config.max_depth:
-                split = _best_variance_split(X, rows, residuals, config.min_samples_leaf)
-            index = len(nodes)
-            if split is None:
-                value = config.learning_rate * float(np.mean(residuals[rows]))
-                nodes.append(TreeNode(weight=value))
-                return index
-            feature, threshold = split
-            nodes.append(TreeNode())
-            mask = X[rows, feature] < threshold
-            left = grow(rows[mask], depth + 1)
-            right = grow(rows[~mask], depth + 1)
-            nodes[index] = TreeNode(feature=feature, threshold=threshold, left=left, right=right)
-            return index
-
-        grow(all_rows, 0)
-        return RegressionTree(nodes=tuple(nodes), root=0)
-
-    trees = []
-    for _ in range(config.n_trees):
-        tree = build(y - predictions)
-        trees.append(tree)
-        predictions += tree.predict(X)
-    return Ensemble(
-        trees=tuple(trees),
-        base_score=base,
-        learning_rate=config.learning_rate,
-        feature_layout=tuple(f"f{i}" for i in range(X.shape[1])),
+    return train(
+        X,
+        y,
+        TrainConfig(
+            n_trees=config.n_trees,
+            learning_rate=config.learning_rate,
+            reg_lambda=0.0,
+            gamma=0.0,
+            max_depth=config.max_depth,
+            min_child_weight=config.min_samples_leaf,
+        ),
     )
 
 

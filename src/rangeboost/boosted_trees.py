@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -37,20 +36,6 @@ from .errors import (
     MalformedModel,
     NonFiniteInput,
 )
-
-
-@dataclass(frozen=True)
-class GradHess:
-    """First and second derivative of the per-sample loss at the current
-    prediction."""
-
-    g: float
-    h: float
-
-
-def grad_hess_squared(prediction: float, target: float) -> GradHess:
-    """Derivatives of l(p, y) = 1/2 (p - y)^2 with respect to p."""
-    return GradHess(g=prediction - target, h=1.0)
 
 
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
@@ -184,10 +169,6 @@ class Ensemble:
         return out
 
 
-def predict(ensemble: Ensemble, matrix: np.ndarray) -> np.ndarray:
-    return ensemble.predict(matrix)
-
-
 @dataclass(frozen=True)
 class Split:
     feature: int
@@ -195,41 +176,62 @@ class Split:
     gain: float
 
 
-def _scan_feature_block(
-    matrix: np.ndarray,
+def _threshold(lo: float, hi: float) -> float:
+    """Cut point t with lo < t <= hi, so rows at lo route left and rows at hi
+    route right.  The midpoint whenever it qualifies; it does not when it
+    rounds down to lo (adjacent floats) or overflows, and then lo/2 + hi/2,
+    then hi itself."""
+    for t in ((lo + hi) / 2.0, lo / 2.0 + hi / 2.0):
+        if lo < t <= hi:
+            return t
+    return hi
+
+
+def _sort_rows(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Per feature, ``rows`` in (value, position in ``rows``) order; shape
+    (features, rows)."""
+    return rows[np.argsort(columns[:, rows], axis=1, kind="stable")]
+
+
+def find_best_split(
     rows: np.ndarray,
+    matrix: np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
-    features: np.ndarray,
     config: TrainConfig,
+    order: np.ndarray | None = None,
+    columns: np.ndarray | None = None,
 ) -> Split | None:
-    """Best candidate over a block of feature columns, or None.
+    """Exact-greedy scan over every feature and boundary threshold.
 
-    Candidates are midpoints between adjacent distinct sorted values; a
-    candidate must leave at least min_child_weight of hessian on each side
-    and have strictly positive gain.  Within the block the first maximum in
-    (feature, threshold) order wins, which realizes the tie-break."""
-    n = rows.shape[0]
-    if n < 2:
+    ``columns`` is ``matrix.T`` and ``order`` holds, per feature, the node's
+    rows in (value, row) order; both are derived from ``rows`` when omitted.
+    Candidates are boundaries between adjacent distinct sorted values, cut
+    by ``_threshold``; a candidate must leave at least min_child_weight of
+    hessian on each side and have strictly positive gain.  Ties on gain
+    resolve to the first maximum in (feature, threshold) order."""
+    if matrix.shape[1] == 0 or rows.shape[0] < 2:
         return None
-    sub = matrix[np.ix_(rows, features)]
-    order = np.argsort(sub, axis=0, kind="stable")
-    values = np.take_along_axis(sub, order, axis=0)
-    g_sorted = grad[rows][order]
-    h_sorted = hess[rows][order]
-    g_cum = np.cumsum(g_sorted, axis=0)
-    h_cum = np.cumsum(h_sorted, axis=0)
-    g_total = g_cum[-1, :]
-    h_total = h_cum[-1, :]
-    g_left = g_cum[:-1, :]
-    h_left = h_cum[:-1, :]
+    if columns is None:
+        columns = matrix.T
+    if order is None:
+        order = _sort_rows(rows, columns)
+    values = np.take_along_axis(columns, order, axis=1)
+    g_cum = np.cumsum(grad[order], axis=1)
+    h_cum = np.cumsum(hess[order], axis=1)
+    feature, position = np.nonzero(values[:, :-1] < values[:, 1:])
+    if feature.size == 0:
+        return None
+    g_total = g_cum[feature, -1]
+    h_total = h_cum[feature, -1]
+    g_left = g_cum[feature, position]
+    h_left = h_cum[feature, position]
     g_right = g_total - g_left
     h_right = h_total - h_left
 
     lam = config.reg_lambda
     usable = (
-        (values[:-1, :] < values[1:, :])
-        & (h_left >= config.min_child_weight)
+        (h_left >= config.min_child_weight)
         & (h_right >= config.min_child_weight)
         & (h_left + lam > 0.0)
         & (h_right + lam > 0.0)
@@ -246,43 +248,12 @@ def _scan_feature_block(
         )
     gains = np.where(usable, gains, -np.inf)
 
-    flat = gains.T.ravel()
-    best = int(np.argmax(flat))
-    if not flat[best] > 0.0:
+    best = int(np.argmax(gains))
+    if not gains[best] > 0.0:
         return None
-    col, boundary = divmod(best, n - 1)
-    threshold = (values[boundary, col] + values[boundary + 1, col]) / 2.0
-    return Split(feature=int(features[col]), threshold=float(threshold), gain=float(flat[best]))
-
-
-def find_best_split(
-    rows: np.ndarray,
-    matrix: np.ndarray,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    config: TrainConfig,
-    executor: ThreadPoolExecutor | None = None,
-    n_jobs: int = 1,
-) -> Split | None:
-    """Exact-greedy scan over every feature and boundary threshold.
-
-    Ties on gain resolve to the lower feature index, then the lower
-    threshold; the reduction over feature blocks applies the same order, so
-    the result is independent of the worker count."""
-    m = matrix.shape[1]
-    if m == 0 or rows.shape[0] == 0:
-        return None
-    if executor is None or n_jobs <= 1 or m < 2:
-        return _scan_feature_block(matrix, rows, grad, hess, np.arange(m), config)
-    chunks = np.array_split(np.arange(m), min(n_jobs, m))
-    results = executor.map(
-        lambda block: _scan_feature_block(matrix, rows, grad, hess, block, config), chunks
-    )
-    best: Split | None = None
-    for candidate in results:
-        if candidate is not None and (best is None or candidate.gain > best.gain):
-            best = candidate
-    return best
+    col, boundary = feature[best], position[best]
+    threshold = _threshold(float(values[col, boundary]), float(values[col, boundary + 1]))
+    return Split(feature=int(col), threshold=threshold, gain=float(gains[best]))
 
 
 def grow_tree(
@@ -291,16 +262,27 @@ def grow_tree(
     grad: np.ndarray,
     hess: np.ndarray,
     config: TrainConfig,
-    executor: ThreadPoolExecutor | None = None,
-    n_jobs: int = 1,
+    order: np.ndarray | None = None,
+    columns: np.ndarray | None = None,
 ) -> RegressionTree:
-    """Depth-limited recursive growth; leaves store shrunken weights."""
+    """Depth-limited recursive growth; leaves store shrunken weights.
+
+    ``order`` and ``columns`` are as in ``find_best_split``.  A split
+    stably partitions every feature's sorted row list, so each child's
+    lists stay in (value, row) order without sorting again."""
+    rows = np.asarray(rows)
+    if columns is None:
+        columns = matrix.T
+    if order is None:
+        order = _sort_rows(rows, columns)
+    n_features = columns.shape[0]
+    goes_left = np.zeros(matrix.shape[0], dtype=bool)
     nodes: list[TreeNode] = []
 
-    def build(node_rows: np.ndarray, depth: int) -> int:
+    def build(node_rows: np.ndarray, node_order: np.ndarray, depth: int) -> int:
         split = None
         if depth < config.max_depth:
-            split = find_best_split(node_rows, matrix, grad, hess, config, executor, n_jobs)
+            split = find_best_split(node_rows, matrix, grad, hess, config, node_order, columns)
         index = len(nodes)
         if split is None:
             g_sum = float(np.sum(grad[node_rows]))
@@ -309,15 +291,20 @@ def grow_tree(
             nodes.append(TreeNode(weight=weight))
             return index
         nodes.append(TreeNode())  # placeholder; children filled in below
-        mask = matrix[node_rows, split.feature] < split.threshold
-        left = build(node_rows[mask], depth + 1)
-        right = build(node_rows[~mask], depth + 1)
+        mask = columns[split.feature, node_rows] < split.threshold
+        goes_left[node_rows] = mask
+        flags = goes_left[node_order]
+        n_left = int(np.count_nonzero(mask))
+        left_order = node_order[flags].reshape(n_features, n_left)
+        right_order = node_order[~flags].reshape(n_features, node_rows.shape[0] - n_left)
+        left = build(node_rows[mask], left_order, depth + 1)
+        right = build(node_rows[~mask], right_order, depth + 1)
         nodes[index] = TreeNode(
             feature=split.feature, threshold=split.threshold, left=left, right=right
         )
         return index
 
-    build(np.asarray(rows), 0)
+    build(rows, order, 0)
     return RegressionTree(nodes=tuple(nodes), root=0)
 
 
@@ -348,8 +335,10 @@ def train(
 
     Each round recomputes per-row gradients against the current predictions,
     grows one tree, and adds its (already shrunken) outputs to the
-    prediction buffer.  Deterministic for a fixed config regardless of
-    ``n_jobs``.
+    prediction buffer.  Every column is sorted once, up front, for all
+    rounds.  Deterministic for a fixed config.  ``n_jobs`` is accepted for
+    compatibility only: training runs on one thread, and neither its result
+    nor its speed depends on ``n_jobs``.
     """
     config = config or TrainConfig()
     matrix, targets = _check_training_inputs(matrix, targets)
@@ -365,18 +354,17 @@ def train(
     predictions = np.full(matrix.shape[0], base, dtype=np.float64)
     rows = np.arange(matrix.shape[0])
     hess = np.ones(matrix.shape[0], dtype=np.float64)
+    # Built here rather than in grow_tree: its recursive closure is a
+    # reference cycle, so per-tree copies would linger until a full collection.
+    columns = np.ascontiguousarray(matrix.T)
+    order = _sort_rows(rows, columns)
 
-    executor = ThreadPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else None
     trees: list[RegressionTree] = []
-    try:
-        for _ in range(config.n_trees):
-            grad = predictions - targets
-            tree = grow_tree(rows, matrix, grad, hess, config, executor, n_jobs)
-            trees.append(tree)
-            predictions += tree.predict(matrix)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for _ in range(config.n_trees):
+        grad = predictions - targets
+        tree = grow_tree(rows, matrix, grad, hess, config, order, columns)
+        trees.append(tree)
+        predictions += tree.predict(matrix)
     return Ensemble(
         trees=tuple(trees),
         base_score=base,

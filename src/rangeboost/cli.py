@@ -76,9 +76,7 @@ def _cmd_train(args) -> int:
     matrix, target = transform(table, state)
     if target_mode == BINNED_RANGE:
         target = apply_binning(target, bins)
-    ensemble = boosted_trees.train(
-        matrix, target, train_config, feature_names=state.layout, n_jobs=args.jobs
-    )
+    ensemble = boosted_trees.train(matrix, target, train_config, feature_names=state.layout)
 
     document = boosted_trees.to_json(ensemble)
     document["pipeline"] = state_to_json(state)
@@ -113,7 +111,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = load_experiment(args.experiment)
-    rows = run_experiment(config, n_jobs=args.jobs)
+    rows = run_experiment(config)
     out = args.out or config.output
     table_text = render_report(rows, "table")
     if out:
@@ -137,6 +135,12 @@ def _cmd_bins(args) -> int:
     return 0
 
 
+JOBS_HELP = (
+    "accepted for compatibility; training is single-threaded, "
+    "and neither results nor speed depend on it"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rangeboost",
@@ -154,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--schema", help="schema JSON (default product schema if omitted)")
     p_train.add_argument("--config", help="train config JSON")
     p_train.add_argument("--model-out", required=True, help="output model JSON path")
-    p_train.add_argument("--jobs", type=int, default=1, help="worker threads for split search")
+    p_train.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_train.set_defaults(func=_cmd_train)
 
     p_predict = sub.add_parser("predict", help="apply a trained model to new rows")
@@ -166,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare = sub.add_parser("compare", help="run a multi-model comparison experiment")
     p_compare.add_argument("--experiment", required=True, help="experiment config JSON")
     p_compare.add_argument("--out", help="report path (.txt, .csv, or .json)")
-    p_compare.add_argument("--jobs", type=int, default=1, help="worker threads for split search")
+    p_compare.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_compare.set_defaults(func=_cmd_compare)
 
     p_bins = sub.add_parser("bins", help="inspect the sales-range bins")

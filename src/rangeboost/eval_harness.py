@@ -285,10 +285,10 @@ class ExperimentConfig:
             raise InvalidConfig("the model roster must not be empty")
 
 
-def _fit_and_predict(model: ModelSpec, x_train, y_train, x_test, layout, n_jobs):
+def _fit_and_predict(model: ModelSpec, x_train, y_train, x_test, layout):
     if model.kind == "boosted_trees":
         config = TrainConfig(**model.config)
-        fitted = train(x_train, y_train, config, feature_names=layout, n_jobs=n_jobs)
+        fitted = train(x_train, y_train, config, feature_names=layout)
         return fitted.predict(x_test)
     if model.kind == "gbdt":
         fitted = fit_gbdt_first_order(x_train, y_train, GbdtBaselineConfig(**model.config))
@@ -308,7 +308,9 @@ def run_experiment(config: ExperimentConfig, n_jobs: int = 1) -> list[MetricsRow
     fit every roster model, and score the held-out side.
 
     One model failing is recorded in its row; the rest of the roster still
-    runs.  Report row order follows the roster order.
+    runs.  Report row order follows the roster order.  ``n_jobs`` is
+    accepted for compatibility only; neither the report nor the run time
+    depends on it.
     """
     if config.synthetic is not None:
         table = generate_synthetic(config.synthetic)
@@ -332,7 +334,7 @@ def run_experiment(config: ExperimentConfig, n_jobs: int = 1) -> list[MetricsRow
     rows: list[MetricsRow] = []
     for model in config.models:
         try:
-            preds = _fit_and_predict(model, x_train, y_train, x_test, state.layout, n_jobs)
+            preds = _fit_and_predict(model, x_train, y_train, x_test, state.layout)
             if config.round_predictions and config.target_mode == BINNED_RANGE:
                 preds = np.clip(np.rint(preds), 0, bins.n_bins - 1)
             rows.append(

@@ -292,3 +292,13 @@ def test_criterion_11_report_fidelity():
         ["SVM", "3.52", "1.88", "1.51"],
     ]
     _passed(11, "reference comparison table reproduced cell-for-cell incl. 1.06E+14")
+
+
+def test_pinned_binned_mse_bit_identity(pinned_reports):
+    """The pinned binned MSEs of both tree learners, bit for bit as the
+    per-node-sort grower produced them before the pre-sorted one replaced
+    it; a split-search change that moves any model shows here."""
+    binned, _, _ = pinned_reports
+    by_name = {row.model_name: row.mse for row in binned}
+    assert by_name["XGBoost"] == 1.939725127547726
+    assert by_name["GBDT"] == 1.9961317446847378

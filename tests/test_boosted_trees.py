@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_best_split, golden_section_minimize, leaf_objective
+from rangeboost.baseline_models import GbdtBaselineConfig, fit_gbdt_first_order
 from rangeboost.boosted_trees import (
     Ensemble,
     RegressionTree,
@@ -11,7 +12,6 @@ from rangeboost.boosted_trees import (
     TreeNode,
     find_best_split,
     from_json,
-    grad_hess_squared,
     grow_tree,
     leaf_weight,
     objective_value,
@@ -27,14 +27,6 @@ from rangeboost.errors import (
     MalformedModel,
     NonFiniteInput,
 )
-
-
-def test_grad_hess_squared():
-    assert grad_hess_squared(3.0, 1.0) == grad_hess_squared(3.0, 1.0)
-    assert grad_hess_squared(3.0, 1.0).g == 2.0
-    assert grad_hess_squared(3.0, 1.0).h == 1.0
-    assert grad_hess_squared(4.0, 4.0).g == 0.0
-    assert grad_hess_squared(0.0, 5.0).g == -5.0
 
 
 def test_leaf_weight_closed_forms():
@@ -164,6 +156,51 @@ def test_find_best_split_matches_oracle_randomized():
             assert split.gain == pytest.approx(oracle[0], abs=1e-9)
 
 
+# Two rows whose midpoint is not strictly above the lower value: adjacent
+# floats round it down, values near the float limit overflow it to inf.
+CLOSE_OR_HUGE = {
+    "adjacent_floats": (1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 2.0))),
+    "near_float_max": (1.5e308, 1.7e308, 1.6e308),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSE_OR_HUGE))
+def test_find_best_split_threshold_separates_close_or_huge_values(case):
+    lo, hi, expected = CLOSE_OR_HUGE[case]
+    matrix = np.array([[lo], [hi]])
+    grad, hess = _gh_for([0.0, 1.0])
+    config = TrainConfig(reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
+    split = find_best_split(np.arange(2), matrix, grad, hess, config)
+    assert split.threshold == expected
+    assert lo < split.threshold <= hi
+
+
+@pytest.mark.parametrize("case", sorted(CLOSE_OR_HUGE))
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda x, y: train(x, y, TrainConfig(n_trees=1, reg_lambda=0.0)),
+        lambda x, y: train(x, y, TrainConfig(n_trees=1, reg_lambda=1.0)),
+        lambda x, y: fit_gbdt_first_order(x, y, GbdtBaselineConfig(n_trees=1)),
+    ],
+    ids=["lambda0", "lambda1", "gbdt"],
+)
+def test_learners_split_close_or_huge_values(case, fit):
+    lo, hi, _ = CLOSE_OR_HUGE[case]
+    matrix = np.array([[lo], [hi]])
+    targets = np.array([0.0, 1.0])
+    model = fit(matrix, targets)
+    (tree,) = model.trees
+    assert len(tree.nodes) == 3
+    root = tree.nodes[tree.root]
+    assert root.feature == 0 and lo < root.threshold <= hi
+    # one row per leaf: the rows get different leaf weights
+    left, right = tree.predict(matrix)
+    assert left == tree.nodes[root.left].weight < 0.0 < tree.nodes[root.right].weight == right
+    restored = from_json(json.loads(json.dumps(to_json(model))))
+    assert restored == model
+
+
 def test_grow_tree_single_row_leaf():
     matrix = np.array([[3.0]])
     grad = np.array([2.0])
@@ -192,6 +229,32 @@ def test_grow_tree_depth_one_bound():
     tree = grow_tree(np.arange(4), matrix, grad, hess, config)
     assert len(tree.nodes) in (1, 3)
     assert sum(1 for node in tree.nodes if not node.is_leaf) <= 1
+
+
+def test_grow_tree_every_node_matches_oracle():
+    # Few distinct values per column, so sorted lists are full of ties that
+    # the per-split partition must keep in (value, row) order.
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        n = int(rng.integers(20, 80))
+        matrix = rng.integers(0, 4, size=(n, 3)).astype(np.float64)
+        grad = rng.normal(size=n)
+        hess = np.ones(n)
+        lam = float(rng.uniform(0, 2))
+        config = TrainConfig(reg_lambda=lam, gamma=0.0, max_depth=4, min_child_weight=1.0)
+        tree = grow_tree(np.arange(n), matrix, grad, hess, config)
+        stack = [(tree.root, np.arange(n), 0)]
+        while stack:
+            index, rows, depth = stack.pop()
+            node = tree.nodes[index]
+            oracle = enumerate_best_split(matrix, rows, grad, hess, lam, 0.0, 1.0)
+            if node.is_leaf:
+                assert oracle is None or depth == config.max_depth
+                continue
+            assert (node.feature, node.threshold) == (oracle[1], oracle[2])
+            mask = matrix[rows, node.feature] < node.threshold
+            stack.append((node.left, rows[mask], depth + 1))
+            stack.append((node.right, rows[~mask], depth + 1))
 
 
 def test_train_zero_trees_predicts_base():
