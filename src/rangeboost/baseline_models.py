@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosted_trees import Ensemble, TrainConfig, train
-from .errors import EmptyData, InvalidConfig, LayoutMismatch, NonFiniteInput
+from .boosted_trees import Ensemble, TrainConfig, check_fit_inputs, train
+from .errors import InvalidConfig, LayoutMismatch
 
 
 @dataclass(frozen=True)
@@ -36,22 +36,10 @@ def predict_linear(model: LinearModel, matrix: np.ndarray) -> np.ndarray:
     return matrix @ np.asarray(model.weights, dtype=np.float64) + model.intercept
 
 
-def _as_xy(matrix, targets) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(matrix, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise LayoutMismatch(f"incompatible shapes {X.shape} and {y.shape}")
-    if X.shape[0] == 0:
-        raise EmptyData("cannot fit on an empty dataset")
-    if not np.isfinite(X).all() or not np.isfinite(y).all():
-        raise NonFiniteInput("fit inputs must be finite")
-    return X, y
-
-
 def fit_ols(matrix, targets) -> LinearModel:
     """Least squares with an implicit intercept column; rank deficiency
     resolves to the minimum-norm solution instead of failing."""
-    X, y = _as_xy(matrix, targets)
+    X, y = check_fit_inputs(matrix, targets)
     augmented = np.hstack([X, np.ones((X.shape[0], 1))])
     solution, *_ = np.linalg.lstsq(augmented, y, rcond=None)
     return LinearModel(weights=tuple(float(w) for w in solution[:-1]), intercept=float(solution[-1]))
@@ -60,7 +48,7 @@ def fit_ols(matrix, targets) -> LinearModel:
 def ridge_posterior_mean(matrix, targets, alpha: float) -> np.ndarray:
     """Posterior-mean weights (X'X + alpha I)^-1 X'y of the Gaussian linear
     model with an isotropic prior of precision alpha."""
-    X, y = _as_xy(matrix, targets)
+    X, y = check_fit_inputs(matrix, targets)
     if alpha <= 0:
         raise InvalidConfig(f"prior precision must be positive, got {alpha}")
     gram = X.T @ X + alpha * np.eye(X.shape[1])
@@ -70,11 +58,7 @@ def ridge_posterior_mean(matrix, targets, alpha: float) -> np.ndarray:
 def fit_bayes_ridge(matrix, targets, alpha: float = 1.0) -> LinearModel:
     """Bayesian ridge posterior mean with an unpenalized intercept, obtained
     by centering the design and targets before the closed-form solve."""
-    X, y = _as_xy(matrix, targets)
-    if alpha <= 0:
-        raise InvalidConfig(f"prior precision must be positive, got {alpha}")
-    if X.shape[1] == 0:
-        return LinearModel(weights=(), intercept=float(np.mean(y)))
+    X, y = check_fit_inputs(matrix, targets)
     x_mean = X.mean(axis=0)
     y_mean = float(np.mean(y))
     weights = ridge_posterior_mean(X - x_mean, y - y_mean, alpha)
@@ -90,14 +74,20 @@ class GbdtBaselineConfig:
     min_samples_leaf: int = 1
 
     def __post_init__(self):
-        if self.n_trees < 0:
-            raise InvalidConfig(f"n_trees must be >= 0, got {self.n_trees}")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise InvalidConfig(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if self.max_depth < 1:
-            raise InvalidConfig(f"max_depth must be >= 1, got {self.max_depth}")
         if self.min_samples_leaf < 1:
             raise InvalidConfig(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
+        self.train_config()  # checks n_trees, learning_rate and max_depth
+
+    def train_config(self) -> TrainConfig:
+        """The core learner's config this baseline runs (see fit_gbdt_first_order)."""
+        return TrainConfig(
+            n_trees=self.n_trees,
+            learning_rate=self.learning_rate,
+            reg_lambda=0.0,
+            gamma=0.0,
+            max_depth=self.max_depth,
+            min_child_weight=self.min_samples_leaf,
+        )
 
 
 def fit_gbdt_first_order(matrix, targets, config: GbdtBaselineConfig | None = None) -> Ensemble:
@@ -109,20 +99,7 @@ def fit_gbdt_first_order(matrix, targets, config: GbdtBaselineConfig | None = No
     exactly twice the second-order gain at lambda = gamma = 0 and the mean
     residual is the leaf weight -G/H: this is the core learner at those
     settings, with min_child_weight = min_samples_leaf."""
-    config = config or GbdtBaselineConfig()
-    X, y = _as_xy(matrix, targets)
-    return train(
-        X,
-        y,
-        TrainConfig(
-            n_trees=config.n_trees,
-            learning_rate=config.learning_rate,
-            reg_lambda=0.0,
-            gamma=0.0,
-            max_depth=config.max_depth,
-            min_child_weight=config.min_samples_leaf,
-        ),
-    )
+    return train(matrix, targets, (config or GbdtBaselineConfig()).train_config())
 
 
 @dataclass(frozen=True)
@@ -167,7 +144,7 @@ def fit_linear_svr(matrix, targets, config: SvrConfig | None = None) -> LinearMo
     contribute no loss subgradient, so a model already within the tube stays
     put."""
     config = config or SvrConfig()
-    X, y = _as_xy(matrix, targets)
+    X, y = check_fit_inputs(matrix, targets)
     n, m = X.shape
     w = np.zeros(m, dtype=np.float64)
     b = 0.0

@@ -36,6 +36,7 @@ from .errors import (
     MalformedModel,
     NonFiniteInput,
 )
+from .jsondoc import read_json
 
 
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
@@ -308,7 +309,9 @@ def grow_tree(
     return RegressionTree(nodes=tuple(nodes), root=0)
 
 
-def _check_training_inputs(matrix: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def check_fit_inputs(matrix, targets) -> tuple[np.ndarray, np.ndarray]:
+    """The one input check of every fit: a finite, non-empty 2-D float
+    matrix and a target vector with one value per row."""
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if matrix.ndim != 2:
@@ -318,9 +321,9 @@ def _check_training_inputs(matrix: np.ndarray, targets: np.ndarray) -> tuple[np.
             f"matrix has {matrix.shape[0]} rows but targets has {targets.shape}"
         )
     if matrix.shape[0] == 0:
-        raise EmptyData("cannot train on an empty dataset")
+        raise EmptyData("cannot fit on an empty dataset")
     if not np.isfinite(matrix).all() or not np.isfinite(targets).all():
-        raise NonFiniteInput("training inputs must be finite")
+        raise NonFiniteInput("fit inputs must be finite")
     return matrix, targets
 
 
@@ -341,7 +344,7 @@ def train(
     nor its speed depends on ``n_jobs``.
     """
     config = config or TrainConfig()
-    matrix, targets = _check_training_inputs(matrix, targets)
+    matrix, targets = check_fit_inputs(matrix, targets)
     names = tuple(feature_names) if feature_names is not None else tuple(
         f"f{i}" for i in range(matrix.shape[1])
     )
@@ -545,11 +548,4 @@ def save_model(document: dict, path) -> None:
 
 
 def load_model(path) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MalformedModel(f"cannot read model file {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedModel(f"model file {path} is not valid JSON: {exc}") from exc
+    return read_json(path, "model", MalformedModel)

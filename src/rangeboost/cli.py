@@ -7,38 +7,31 @@ Subcommands: synth, train, predict, compare, bins.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import boosted_trees
 from .data_model import default_schema, load_csv, load_schema, schema_from_json, schema_to_json, write_csv
-from .errors import ConfigError, DataError, InvalidConfig, MalformedModel, ModelError
+from .errors import ConfigError, DataError, InvalidConfig, InvalidSpec, MalformedModel, ModelError
 from .eval_harness import (
     BINNED_RANGE,
-    RAW_SALES,
     SyntheticSpec,
     generate_synthetic,
     load_experiment,
+    parse_document,
     render_report,
     run_experiment,
     synthetic_spec_from_json,
 )
-from .feature_pipeline import fit_pipeline, lexicon_from_json, plan_from_json, state_from_json, state_to_json, transform
-from .range_binning import apply_binning, bins_from_json, bins_to_json, default_bins
-
-
-def _read_json(path, what: str):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InvalidConfig(f"cannot read {what} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"{what} file {path} is not valid JSON: {exc}") from exc
+from .feature_pipeline import fit_pipeline, state_from_json, state_to_json, transform
+from .jsondoc import from_doc, read_json
+from .range_binning import apply_binning, bins_to_json, default_bins
 
 
 def _cmd_synth(args) -> int:
-    spec = synthetic_spec_from_json(_read_json(args.spec, "synthetic spec")) if args.spec else SyntheticSpec()
+    spec = SyntheticSpec()
+    if args.spec:
+        spec = synthetic_spec_from_json(read_json(args.spec, "synthetic spec", InvalidSpec))
     table = generate_synthetic(spec)
     write_csv(table, args.out)
     print(f"wrote {table.n} rows x {len(table.schema)} columns to {args.out}")
@@ -46,33 +39,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _read_json(args.config, "train config") if args.config else {}
-    if not isinstance(config, dict):
-        raise InvalidConfig("train config must be a JSON object")
-    known = {"target_mode", "bins", "model", "pipeline"}
-    extras = set(config) - known
-    if extras:
-        raise InvalidConfig(f"unknown train config keys: {sorted(extras)}")
-
+    config = read_json(args.config, "train config", InvalidConfig) if args.config else {}
+    config = parse_document(config, {"model": dict}, "train config")
+    train_config = from_doc(boosted_trees.TrainConfig, config.get("model", {}), InvalidConfig, "model")
     schema = load_schema(args.schema) if args.schema else default_schema()
-    target_mode = config.get("target_mode", BINNED_RANGE)
-    if target_mode not in (RAW_SALES, BINNED_RANGE):
-        raise InvalidConfig(f"unknown target mode {target_mode!r}")
-    bins = bins_from_json(config["bins"]) if "bins" in config else default_bins()
-    plan = None
-    lexicon = None
-    if "pipeline" in config:
-        if "plan" in config["pipeline"]:
-            plan = plan_from_json(config["pipeline"]["plan"])
-        if "lexicon" in config["pipeline"]:
-            lexicon = lexicon_from_json(config["pipeline"]["lexicon"])
-    try:
-        train_config = boosted_trees.TrainConfig(**config.get("model", {}))
-    except TypeError as exc:
-        raise InvalidConfig(f"bad model config: {exc}") from exc
-
+    target_mode, bins = config["target_mode"], config["bins"]
     table = load_csv(args.data, schema)
-    state = fit_pipeline(table, plan, lexicon)
+    state = fit_pipeline(table, config["plan"], config["lexicon"])
     matrix, target = transform(table, state)
     if target_mode == BINNED_RANGE:
         target = apply_binning(target, bins)
@@ -94,10 +67,11 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     document = boosted_trees.load_model(args.model)
     ensemble = boosted_trees.from_json(document)
-    if "pipeline" not in document or "schema" not in document:
-        raise MalformedModel("model file lacks the embedded pipeline/schema needed for prediction")
-    state = state_from_json(document["pipeline"])
-    schema = schema_from_json(document["schema"])
+    try:
+        state = state_from_json(document["pipeline"])
+        schema = schema_from_json(document["schema"])
+    except (ConfigError, KeyError) as exc:
+        raise MalformedModel(f"model file {args.model}: bad embedded pipeline/schema: {exc}") from exc
     table = load_csv(args.data, schema, allow_missing_target=True)
     matrix, _ = transform(table, state)
     predictions = ensemble.predict(matrix)

@@ -24,6 +24,7 @@ from .errors import (
     RowArity,
     UnknownColumn,
 )
+from .jsondoc import from_doc, read_json
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -179,34 +180,37 @@ def load_csv(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = 
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumn(f"{path}: file has no header row")
-        positions: dict[str, int | None] = {}
-        for col in schema:
-            if col.name in header:
-                positions[col.name] = header.index(col.name)
-            elif col.role == TARGET and allow_missing_target:
-                positions[col.name] = None
-            else:
-                raise MissingColumn(col.name)
-        rows = []
-        for fields in reader:
-            if len(fields) != len(header):
-                raise RowArity(
-                    f"line {reader.line_num}: expected {len(header)} fields, got {len(fields)}"
-                )
-            cells = []
+        try:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise MissingColumn(f"{path}: file has no header row")
+            positions: dict[str, int | None] = {}
             for col in schema:
-                pos = positions[col.name]
-                if pos is None:
-                    cells.append(None)
-                elif col.kind == NUMERIC:
-                    cells.append(parse_numeric(fields[pos]))
+                if col.name in header:
+                    positions[col.name] = header.index(col.name)
+                elif col.role == TARGET and allow_missing_target:
+                    positions[col.name] = None
                 else:
-                    cells.append(parse_categorical(fields[pos]))
-            rows.append(tuple(cells))
+                    raise MissingColumn(col.name)
+            rows = []
+            for fields in reader:
+                if len(fields) != len(header):
+                    raise RowArity(
+                        f"line {reader.line_num}: expected {len(header)} fields, got {len(fields)}"
+                    )
+                cells = []
+                for col in schema:
+                    pos = positions[col.name]
+                    if pos is None:
+                        cells.append(None)
+                    elif col.kind == NUMERIC:
+                        cells.append(parse_numeric(fields[pos]))
+                    else:
+                        cells.append(parse_categorical(fields[pos]))
+                rows.append(tuple(cells))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: {exc}") from exc
     return DataTable(schema, tuple(rows))
 
 
@@ -261,22 +265,11 @@ def schema_to_json(schema: Sequence[ColumnSchema]) -> list[dict]:
 def schema_from_json(doc) -> tuple[ColumnSchema, ...]:
     if not isinstance(doc, list) or not doc:
         raise InvalidConfig("schema document must be a non-empty list of columns")
-    cols = []
-    for entry in doc:
-        if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
-            raise InvalidConfig(f"bad schema entry: {entry!r}")
-        cols.append(ColumnSchema(entry["name"], entry["kind"], entry.get("role", FEATURE)))
-    return _check_schema(cols)
+    return _check_schema(from_doc(ColumnSchema, entry, InvalidConfig, "schema entry") for entry in doc)
 
 
 def load_schema(path) -> tuple[ColumnSchema, ...]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InvalidConfig(f"cannot read schema file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"schema file {path} is not valid JSON: {exc}") from exc
-    return schema_from_json(doc)
+    return schema_from_json(read_json(path, "schema", InvalidConfig))
 
 
 def save_schema(schema: Sequence[ColumnSchema], path) -> None:

@@ -13,7 +13,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +28,15 @@ from .baseline_models import (
 from .boosted_trees import TrainConfig, train
 from .data_model import DataTable, default_schema, load_csv, load_schema, split_train_test
 from .errors import EmptyData, InvalidConfig, InvalidSpec, LengthMismatch
-from .feature_pipeline import ColorLexicon, ImputationPlan, fit_pipeline, transform
+from .feature_pipeline import (
+    ColorLexicon,
+    ImputationPlan,
+    fit_pipeline,
+    lexicon_from_json,
+    plan_from_json,
+    transform,
+)
+from .jsondoc import check_doc, from_doc, read_json
 from .range_binning import BinSpec, apply_binning, bins_from_json, default_bins
 
 RAW_SALES = "raw_sales"
@@ -136,7 +143,7 @@ class SyntheticSpec:
     n_products: int = 1565
     categories: tuple[str, ...] = DEFAULT_CATEGORIES
     brand_count: int = 12
-    missing_rates: dict = field(default_factory=default_missing_rates)
+    missing_rates: dict[str, float] = field(default_factory=default_missing_rates)
     noise_scale: float = 0.65
     seed: int = 7
 
@@ -149,6 +156,8 @@ class SyntheticSpec:
             raise InvalidSpec(f"brand_count must be >= 1, got {self.brand_count}")
         if self.noise_scale < 0:
             raise InvalidSpec(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         for name, rate in self.missing_rates.items():
             if not 0.0 <= rate <= 1.0:
                 raise InvalidSpec(f"missing rate for {name!r} must be in [0, 1], got {rate}")
@@ -236,16 +245,38 @@ def generate_synthetic(spec: SyntheticSpec | None = None) -> DataTable:
 
 MODEL_KINDS = ("boosted_trees", "gbdt", "ols", "bayes_ridge", "linear_svr")
 
+# What each kind reads its roster "config" object into: a config dataclass,
+# or (for the two closed-form linear fits) keyword arguments and their types.
+_MODEL_CONFIGS = {
+    "boosted_trees": TrainConfig,
+    "gbdt": GbdtBaselineConfig,
+    "ols": {},
+    "bayes_ridge": {"alpha": float},
+    "linear_svr": SvrConfig,
+}
+
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """One roster entry.  ``config`` is checked when the spec is built and
+    kept, decoded, in ``settings``, so a bad config never reaches a fit."""
+
     name: str
     kind: str
     config: dict = field(default_factory=dict)
+    settings: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise InvalidConfig(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+        target, what = _MODEL_CONFIGS[self.kind], f"{self.kind} config"
+        if isinstance(target, dict):
+            settings = check_doc(self.config, target, InvalidConfig, what)
+            if settings.get("alpha", 1.0) <= 0:
+                raise InvalidConfig(f"prior precision must be positive, got {settings['alpha']}")
+        else:
+            settings = from_doc(target, self.config, InvalidConfig, what)
+        object.__setattr__(self, "settings", settings)
 
 
 def default_models() -> tuple[ModelSpec, ...]:
@@ -281,26 +312,22 @@ class ExperimentConfig:
             raise InvalidConfig(f"unknown target mode {self.target_mode!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidConfig(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if not self.models:
             raise InvalidConfig("the model roster must not be empty")
 
 
 def _fit_and_predict(model: ModelSpec, x_train, y_train, x_test, layout):
     if model.kind == "boosted_trees":
-        config = TrainConfig(**model.config)
-        fitted = train(x_train, y_train, config, feature_names=layout)
-        return fitted.predict(x_test)
+        return train(x_train, y_train, model.settings, feature_names=layout).predict(x_test)
     if model.kind == "gbdt":
-        fitted = fit_gbdt_first_order(x_train, y_train, GbdtBaselineConfig(**model.config))
-        return fitted.predict(x_test)
+        return fit_gbdt_first_order(x_train, y_train, model.settings).predict(x_test)
     if model.kind == "ols":
-        return fit_ols(x_train, y_train).predict(x_test)
+        return fit_ols(x_train, y_train, **model.settings).predict(x_test)
     if model.kind == "bayes_ridge":
-        alpha = model.config.get("alpha", 1.0)
-        return fit_bayes_ridge(x_train, y_train, alpha=alpha).predict(x_test)
-    if model.kind == "linear_svr":
-        return fit_linear_svr(x_train, y_train, SvrConfig(**model.config)).predict(x_test)
-    raise InvalidConfig(f"unknown model kind {model.kind!r}")
+        return fit_bayes_ridge(x_train, y_train, **model.settings).predict(x_test)
+    return fit_linear_svr(x_train, y_train, model.settings).predict(x_test)
 
 
 def run_experiment(config: ExperimentConfig, n_jobs: int = 1) -> list[MetricsRow]:
@@ -428,91 +455,48 @@ def render_report(rows: Sequence[MetricsRow], fmt: str = "table") -> str:
 # ---------------------------------------------------------------------------
 
 def synthetic_spec_from_json(doc) -> SyntheticSpec:
-    if not isinstance(doc, dict):
-        raise InvalidSpec("synthetic spec document must be an object")
-    known = {"n_products", "categories", "brand_count", "missing_rates", "noise_scale", "seed"}
-    extras = set(doc) - known
-    if extras:
-        raise InvalidSpec(f"unknown synthetic spec keys: {sorted(extras)}")
-    kwargs = dict(doc)
-    if "categories" in kwargs:
-        kwargs["categories"] = tuple(kwargs["categories"])
-    return SyntheticSpec(**kwargs)
+    return from_doc(SyntheticSpec, doc, InvalidSpec, "synthetic spec")
+
+
+def parse_document(doc, fields: dict, what: str) -> dict:
+    """Check an experiment or train document against the sections both
+    share plus ``fields`` (key -> JSON type), and decode the shared ones:
+    ``target_mode`` (defaulted), ``bins`` (a BinSpec) and ``pipeline``
+    (replaced by ``plan`` and ``lexicon``, None when absent)."""
+    shared = {"target_mode": str, "bins": dict, "pipeline": dict}
+    doc = check_doc(doc, {**shared, **fields}, InvalidConfig, what)
+    target_mode = doc.setdefault("target_mode", BINNED_RANGE)
+    if target_mode not in (RAW_SALES, BINNED_RANGE):
+        raise InvalidConfig(f"unknown target mode {target_mode!r}")
+    doc["bins"] = bins_from_json(doc["bins"]) if "bins" in doc else default_bins()
+    pipeline = check_doc(
+        doc.pop("pipeline", {}), {"plan": dict, "lexicon": dict}, InvalidConfig, "pipeline"
+    )
+    doc["plan"] = plan_from_json(pipeline["plan"]) if "plan" in pipeline else None
+    doc["lexicon"] = lexicon_from_json(pipeline["lexicon"]) if "lexicon" in pipeline else None
+    return doc
+
+
+# JSON types of the experiment's own keys, of its dataset and of a roster entry
+_EXPERIMENT_FIELDS = {"dataset": dict, "train_fraction": float, "seed": int, "models": list,
+                      "round_predictions": bool, "output": str | None}
+_DATASET_FIELDS = {"csv": str, "schema": str, "synthetic": dict}
+_ENTRY_FIELDS = {"name": str, "kind": str, "config": dict}
 
 
 def experiment_from_json(doc) -> ExperimentConfig:
-    from .feature_pipeline import lexicon_from_json, plan_from_json
-
-    if not isinstance(doc, dict):
-        raise InvalidConfig("experiment document must be an object")
-    known = {
-        "dataset",
-        "target_mode",
-        "bins",
-        "train_fraction",
-        "seed",
-        "models",
-        "pipeline",
-        "round_predictions",
-        "output",
-    }
-    extras = set(doc) - known
-    if extras:
-        raise InvalidConfig(f"unknown experiment keys: {sorted(extras)}")
-
-    dataset = doc.get("dataset")
-    if not isinstance(dataset, dict):
-        raise InvalidConfig("experiment needs a 'dataset' object")
-    data_csv = dataset.get("csv")
-    schema_path = dataset.get("schema")
-    synthetic = None
+    doc = parse_document(doc, _EXPERIMENT_FIELDS, "experiment")
+    dataset = check_doc(doc.pop("dataset", {}), _DATASET_FIELDS, InvalidConfig, "dataset")
     if "synthetic" in dataset:
-        synthetic = synthetic_spec_from_json(dataset["synthetic"])
-
-    models: tuple[ModelSpec, ...]
+        doc["synthetic"] = synthetic_spec_from_json(dataset["synthetic"])
     if "models" in doc:
-        entries = doc["models"]
-        if not isinstance(entries, list):
-            raise InvalidConfig("'models' must be a list")
-        models = tuple(
-            ModelSpec(
-                name=e.get("name", e.get("kind", "?")),
-                kind=e.get("kind", ""),
-                config=e.get("config", {}),
-            )
+        entries = [check_doc(e, _ENTRY_FIELDS, InvalidConfig, "model entry") for e in doc["models"]]
+        doc["models"] = tuple(
+            ModelSpec(e.get("name", e.get("kind", "?")), e.get("kind", ""), e.get("config", {}))
             for e in entries
         )
-    else:
-        models = default_models()
-
-    plan = plan_from_json(doc["pipeline"]["plan"]) if "pipeline" in doc and "plan" in doc["pipeline"] else None
-    lexicon = (
-        lexicon_from_json(doc["pipeline"]["lexicon"])
-        if "pipeline" in doc and "lexicon" in doc["pipeline"]
-        else None
-    )
-
-    return ExperimentConfig(
-        data_csv=data_csv,
-        schema_path=schema_path,
-        synthetic=synthetic,
-        target_mode=doc.get("target_mode", BINNED_RANGE),
-        bins=bins_from_json(doc["bins"]) if "bins" in doc else None,
-        train_fraction=doc.get("train_fraction", 0.8),
-        seed=doc.get("seed", 7),
-        models=models,
-        plan=plan,
-        lexicon=lexicon,
-        round_predictions=doc.get("round_predictions", False),
-        output=doc.get("output"),
-    )
+    return ExperimentConfig(data_csv=dataset.get("csv"), schema_path=dataset.get("schema"), **doc)
 
 
 def load_experiment(path) -> ExperimentConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InvalidConfig(f"cannot read experiment file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"experiment file {path} is not valid JSON: {exc}") from exc
-    return experiment_from_json(doc)
+    return experiment_from_json(read_json(path, "experiment", InvalidConfig))

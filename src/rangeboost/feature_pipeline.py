@@ -8,16 +8,24 @@ shipped alongside a model and replayed at prediction time.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data_model import CATEGORICAL, FEATURE, NUMERIC, TARGET, ColumnSchema, DataTable
+from .data_model import (
+    CATEGORICAL,
+    FEATURE,
+    NUMERIC,
+    TARGET,
+    ColumnSchema,
+    DataTable,
+    schema_from_json,
+    schema_to_json,
+)
 from .errors import EmptyTrain, InvalidConfig, SchemaMismatch
+from .jsondoc import check_value, from_doc
 
 UNKNOWN_TOKEN = "unknown"
 COMPOSITE_TOKEN = "composite"
@@ -48,8 +56,8 @@ DEFAULT_DELIMITERS = ("/", "&", ",", " and ")
 class ColorLexicon:
     """Vocabulary driving colour-string normalization."""
 
-    base_colors: frozenset = DEFAULT_BASE_COLORS
-    modifier_tokens: frozenset = DEFAULT_MODIFIERS
+    base_colors: frozenset[str] = DEFAULT_BASE_COLORS
+    modifier_tokens: frozenset[str] = DEFAULT_MODIFIERS
     multi_color_delimiters: tuple[str, ...] = DEFAULT_DELIMITERS
 
     def __post_init__(self):
@@ -344,25 +352,20 @@ def plan_to_json(plan: ImputationPlan) -> dict:
 
 
 def plan_from_json(doc) -> ImputationPlan:
+    """Each entry names its strategy; its other keys are that strategy's
+    fields (``partner`` for cross_fill, ``tiers`` for hierarchical_mean)."""
     if not isinstance(doc, dict):
         raise InvalidConfig("imputation plan document must be an object")
     strategies = {}
     for name, entry in doc.items():
+        if not isinstance(entry, dict):
+            raise InvalidConfig(f"plan entry {name!r} must be a JSON object, got {entry!r}")
+        options = {k: v for k, v in entry.items() if k != "strategy"}
         kind = entry.get("strategy")
-        if kind == "zero_fill":
-            strategies[name] = ZeroFill()
-        elif kind == "cross_fill":
-            strategies[name] = CrossFill(partner=entry.get("partner"))
-        elif kind == "hierarchical_mean":
-            tiers = entry.get("tiers")
-            if tiers is None:
-                strategies[name] = HierarchicalMean()
-            else:
-                strategies[name] = HierarchicalMean(tiers=tuple(tuple(t) for t in tiers))
-        elif kind == "color_normalize":
-            strategies[name] = ColorNormalize()
-        else:
+        strategy = next((cls for cls, s in _STRATEGY_NAMES.items() if s == kind), None)
+        if strategy is None:
             raise InvalidConfig(f"column {name!r}: unknown strategy {kind!r}")
+        strategies[name] = from_doc(strategy, options, InvalidConfig, f"plan entry {name!r}")
     return ImputationPlan(strategies=strategies)
 
 
@@ -375,18 +378,10 @@ def lexicon_to_json(lexicon: ColorLexicon) -> dict:
 
 
 def lexicon_from_json(doc) -> ColorLexicon:
-    if not isinstance(doc, dict):
-        raise InvalidConfig("colour lexicon document must be an object")
-    return ColorLexicon(
-        base_colors=frozenset(doc.get("base_colors", DEFAULT_BASE_COLORS)),
-        modifier_tokens=frozenset(doc.get("modifier_tokens", DEFAULT_MODIFIERS)),
-        multi_color_delimiters=tuple(doc.get("multi_color_delimiters", DEFAULT_DELIMITERS)),
-    )
+    return from_doc(ColorLexicon, doc, InvalidConfig, "colour lexicon")
 
 
 def state_to_json(state: EncoderState) -> dict:
-    from .data_model import schema_to_json
-
     return {
         "schema": schema_to_json(state.schema),
         "plan": plan_to_json(state.plan),
@@ -404,22 +399,27 @@ def state_to_json(state: EncoderState) -> dict:
 
 
 def state_from_json(doc) -> EncoderState:
-    from .data_model import schema_from_json
-
-    if not isinstance(doc, dict):
-        raise InvalidConfig("encoder state document must be an object")
     try:
         schema = schema_from_json(doc["schema"])
         plan = plan_from_json(doc["plan"])
         lexicon = lexicon_from_json(doc["lexicon"])
-        vocabularies = {k: tuple(v) for k, v in doc["vocabularies"].items()}
+        vocabularies = check_value(
+            doc["vocabularies"], dict[str, tuple[str, ...]], InvalidConfig, "vocabularies"
+        )
         group_means = {
             col: tuple({tuple(k): float(m) for k, m in tier["means"]} for tier in tiers)
             for col, tiers in doc["group_means"].items()
         }
-        layout = tuple(doc["layout"])
-    except (KeyError, TypeError, ValueError) as exc:
+        layout = check_value(doc["layout"], tuple[str, ...], InvalidConfig, "layout")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"malformed encoder state document: {exc}") from exc
+    _validate_plan(plan, schema)
+    unfitted = [c.name for c in _categorical_features(schema) if c.name not in vocabularies]
+    unfitted += [
+        n for n, s in plan.strategies.items() if isinstance(s, HierarchicalMean) and n not in group_means
+    ]
+    if unfitted:
+        raise InvalidConfig(f"encoder state lacks the fitted values of columns {unfitted}")
     return EncoderState(
         schema=schema,
         plan=plan,
@@ -429,10 +429,3 @@ def state_from_json(doc) -> EncoderState:
         layout=layout,
     )
 
-
-def save_state(state: EncoderState, path) -> None:
-    Path(path).write_text(json.dumps(state_to_json(state), indent=2) + "\n", encoding="utf-8")
-
-
-def load_state(path) -> EncoderState:
-    return state_from_json(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -1,0 +1,77 @@
+"""Reading JSON files and checking JSON objects against declared types.
+
+Every JSON document the package reads (experiment, train config, synthetic
+spec, schema, model) goes through ``read_json`` and, part by part, through
+``check_doc``, ``from_doc`` or ``check_value``.  Each takes the caller's
+error class, so a failure maps to the exit code of the file it came from.
+"""
+
+from __future__ import annotations
+
+import json
+import numbers
+import sys
+import types
+import typing
+from dataclasses import MISSING
+from dataclasses import fields as dataclass_fields
+from pathlib import Path
+
+_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
+          dict: "an object", list: "an array", tuple: "an array", frozenset: "an array"}
+
+
+def read_json(path, what: str, error: type[Exception]):
+    """Parse a UTF-8 JSON file; any failure to read or decode raises ``error``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise error(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def check_value(value, hint, error: type[Exception], where: str):
+    """``value`` if it has the JSON type ``hint`` declares, with arrays
+    turned into the tuples or frozensets it names; else raise ``error``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (tuple, frozenset) and isinstance(value, list):
+        return origin(check_value(v, args[0], error, f"{where}[{i}]") for i, v in enumerate(value))
+    if origin is dict and isinstance(value, dict):
+        return {k: check_value(v, args[1], error, f"{where}.{k}") for k, v in value.items()}
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if hint is float:  # exact for ints of any size; false for NaN and the infinities
+        ok = number and abs(value) <= sys.float_info.max
+    elif hint is int:
+        ok = number and isinstance(value, numbers.Integral)
+    else:
+        ok = origin is None and isinstance(value, hint)
+    if ok:
+        return value
+    raise error(f"{where} must be {_NAMES[origin or hint]}, got {value!r}")
+
+
+def check_doc(doc, fields: dict, error: type[Exception], what: str) -> dict:
+    """``doc`` as a dict, once it is an object whose keys all appear in
+    ``fields`` (key -> type) and whose values have those types."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object, got {doc!r}")
+    extras = set(doc) - set(fields)
+    if extras:
+        raise error(f"unknown {what} keys: {sorted(extras)}")
+    return {key: check_value(value, fields[key], error, f"{what}.{key}") for key, value in doc.items()}
+
+
+def from_doc(cls, doc, error: type[Exception], what: str):
+    """Build the dataclass ``cls`` from a JSON object keyed by its field
+    names; the field annotations are the types ``check_doc`` checks."""
+    kwargs = check_doc(doc, typing.get_type_hints(cls), error, what)
+    required = {f.name for f in dataclass_fields(cls) if f.default is f.default_factory is MISSING}
+    if required - set(kwargs):
+        raise error(f"{what} needs {sorted(required - set(kwargs))}")
+    return cls(**kwargs)

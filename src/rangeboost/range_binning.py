@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InvalidConfig, NegativeValue
+from .jsondoc import from_doc
 
 DEFAULT_EDGES = (0.0, 50.0, 100.0, 300.0, 500.0, 1000.0, 3000.0, 5000.0, 10000.0)
 DEFAULT_LABELS = (
@@ -88,4 +89,4 @@ def bins_to_json(spec: BinSpec) -> dict:
 def bins_from_json(doc) -> BinSpec:
     if not isinstance(doc, dict) or "edges" not in doc:
         raise InvalidConfig("bin spec document must be an object with an 'edges' array")
-    return BinSpec(edges=tuple(doc["edges"]), labels=tuple(doc.get("labels", ())))
+    return from_doc(BinSpec, doc, InvalidConfig, "bins")

@@ -165,3 +165,127 @@ def test_exit_code_4_on_model_errors(tmp_path, synth_csv):
         )
         == 4
     )
+
+
+NOT_UTF8 = b'{"seed": "\xff"}'
+TINY_EXPERIMENT = {"dataset": {"synthetic": {"n_products": 60, "seed": 5}}}
+
+
+# case -> (subcommand, option, file content, expected exit code).  Content is
+# raw bytes, a JSON document, or a function that corrupts a freshly trained
+# model document in place.
+MALFORMED_INPUTS = {
+    "experiment-not-utf8": ("compare", "--experiment", NOT_UTF8, 2),
+    "train-config-not-utf8": ("train", "--config", NOT_UTF8, 2),
+    "schema-not-utf8": ("train", "--schema", NOT_UTF8, 2),
+    "synth-spec-not-utf8": ("synth", "--spec", NOT_UTF8, 2),
+    "model-not-utf8": ("predict", "--model", NOT_UTF8, 4),
+    "train-csv-not-utf8": ("train", "--data", b"Products,Brand\n\xff,acme\n", 3),
+    "predict-csv-not-utf8": ("predict", "--data", b"Products,Brand\n\xff,acme\n", 3),
+    "train-fraction-string": (
+        "compare",
+        "--experiment",
+        {**TINY_EXPERIMENT, "train_fraction": "0.8"},
+        2,
+    ),
+    "models-not-objects": ("compare", "--experiment", {**TINY_EXPERIMENT, "models": [1]}, 2),
+    "roster-config-typo": (
+        "compare",
+        "--experiment",
+        {**TINY_EXPERIMENT, "models": [{"kind": "bayes_ridge", "config": {"alpah": 2}}]},
+        2,
+    ),
+    "roster-alpha-not-positive": (
+        "compare",
+        "--experiment",
+        {**TINY_EXPERIMENT, "models": [{"kind": "bayes_ridge", "config": {"alpha": 0}}]},
+        2,
+    ),
+    "roster-gbdt-n-trees-negative": (
+        "compare",
+        "--experiment",
+        {**TINY_EXPERIMENT, "models": [{"kind": "gbdt", "config": {"n_trees": -1}}]},
+        2,
+    ),
+    "experiment-seed-negative": ("compare", "--experiment", {**TINY_EXPERIMENT, "seed": -1}, 2),
+    "synth-seed-negative": ("synth", "--spec", {"seed": -1}, 2),
+    "plan-entry-not-object": (
+        "compare",
+        "--experiment",
+        {**TINY_EXPERIMENT, "pipeline": {"plan": {"Price": 1}}},
+        2,
+    ),
+    "bins-edges-string": ("train", "--config", {"bins": {"edges": "ab"}}, 2),
+    "lexicon-base-colors-number": ("train", "--config", {"pipeline": {"lexicon": {"base_colors": 3}}}, 2),
+    "n-trees-float": ("train", "--config", {"model": {"n_trees": 2.5}}, 2),
+    "max-depth-bool": ("train", "--config", {"model": {"max_depth": True}}, 2),
+    "categories-number": ("synth", "--spec", {"categories": 3}, 2),
+    "model-plan-entry-not-object": (
+        "predict",
+        "--model",
+        lambda d: d["pipeline"]["plan"].update(Price=1),
+        4,
+    ),
+    "model-vocabulary-missing": (
+        "predict",
+        "--model",
+        lambda d: d["pipeline"]["vocabularies"].pop("Brand"),
+        4,
+    ),
+    "model-vocabulary-entry-not-string": (
+        "predict",
+        "--model",
+        lambda d: d["pipeline"]["vocabularies"].update(Brand=[["acme"]]),
+        4,
+    ),
+    "model-vocabularies-not-object": (
+        "predict",
+        "--model",
+        lambda d: d["pipeline"].update(vocabularies=[]),
+        4,
+    ),
+    "model-schema-entry-lacks-kind": (
+        "predict",
+        "--model",
+        lambda d: d.update(schema=[{"name": "Sales", "role": "target"}]),
+        4,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    spec = root / "spec.json"
+    spec.write_text(json.dumps({"n_products": 40, "seed": 5}), encoding="utf-8")
+    data = root / "data.csv"
+    config = root / "train.json"
+    config.write_text(json.dumps({"model": {"n_trees": 2}}), encoding="utf-8")
+    model = root / "model.json"
+    assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--config", str(config), "--model-out", str(model)]) == 0
+    return data, model
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_with_its_code(case, trained, tmp_path, capsys):
+    command, option, content, expected = MALFORMED_INPUTS[case]
+    data, model = trained
+    if callable(content):
+        document = json.loads(model.read_text(encoding="utf-8"))
+        content(document)
+        content = document
+    if not isinstance(content, bytes):
+        content = json.dumps(content).encode("utf-8")
+    bad = tmp_path / "input"
+    bad.write_bytes(content)
+    options = {
+        "synth": {"--out": tmp_path / "out.csv"},
+        "train": {"--data": data, "--model-out": tmp_path / "model.json"},
+        "predict": {"--model": model, "--data": data, "--out": tmp_path / "preds.csv"},
+        "compare": {},
+    }[command]
+    options[option] = bad
+    argv = [command] + [str(part) for pair in options.items() for part in pair]
+    assert main(argv) == expected
+    assert capsys.readouterr().err.startswith(("config error:", "data error:", "model error:"))

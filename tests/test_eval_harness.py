@@ -287,5 +287,14 @@ def test_experiment_from_json_rejects_bad_documents():
         )
 
 
+def test_experiment_from_json_rejects_roster_config_typo():
+    doc = {
+        "dataset": {"synthetic": {}},
+        "models": [{"kind": "bayes_ridge", "config": {"alpah": 2}}],
+    }
+    with pytest.raises(InvalidConfig, match="alpah"):
+        experiment_from_json(doc)
+
+
 def test_default_models_order():
     assert [m.name for m in default_models()] == ["GBDT", "XGBoost", "Linear", "Bayes", "SVM"]
