@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boosted_trees import Ensemble, TrainConfig, check_fit_inputs, train
-from .errors import InvalidConfig, LayoutMismatch
+from .errors import InvalidConfig, LayoutMismatch, NonFiniteInput
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,17 @@ def fit_ols(matrix, targets) -> LinearModel:
 def ridge_posterior_mean(matrix, targets, alpha: float) -> np.ndarray:
     """Posterior-mean weights (X'X + alpha I)^-1 X'y of the Gaussian linear
     model with an isotropic prior of precision alpha."""
-    X, y = check_fit_inputs(matrix, targets)
+    return _ridge_solve(*check_fit_inputs(matrix, targets), alpha)
+
+
+def _ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     if alpha <= 0:
         raise InvalidConfig(f"prior precision must be positive, got {alpha}")
     gram = X.T @ X + alpha * np.eye(X.shape[1])
-    return np.linalg.solve(gram, X.T @ y)
+    moment = X.T @ y
+    if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
+        raise NonFiniteInput("ridge normal equations overflow; rescale the features or targets")
+    return np.linalg.solve(gram, moment)
 
 
 def fit_bayes_ridge(matrix, targets, alpha: float = 1.0) -> LinearModel:
@@ -61,7 +67,7 @@ def fit_bayes_ridge(matrix, targets, alpha: float = 1.0) -> LinearModel:
     X, y = check_fit_inputs(matrix, targets)
     x_mean = X.mean(axis=0)
     y_mean = float(np.mean(y))
-    weights = ridge_posterior_mean(X - x_mean, y - y_mean, alpha)
+    weights = _ridge_solve(X - x_mean, y - y_mean, alpha)
     intercept = y_mean - float(x_mean @ weights)
     return LinearModel(weights=tuple(float(w) for w in weights), intercept=intercept)
 

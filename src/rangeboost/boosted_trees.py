@@ -20,10 +20,9 @@ round over round for any shrinkage in (0, 1].
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .errors import (
     MalformedModel,
     NonFiniteInput,
 )
-from .jsondoc import read_json
+from .jsondoc import check_doc, read_json
 
 
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
@@ -164,6 +163,7 @@ class Ensemble:
                 f"matrix has {matrix.shape[1] if matrix.ndim == 2 else '?'} columns, "
                 f"model expects {len(self.feature_layout)}"
             )
+        check_finite("predict", matrix)  # NaN would route right at every split
         out = np.full(matrix.shape[0], self.base_score, dtype=np.float64)
         for tree in self.trees:
             out += tree.predict(matrix)
@@ -322,9 +322,14 @@ def check_fit_inputs(matrix, targets) -> tuple[np.ndarray, np.ndarray]:
         )
     if matrix.shape[0] == 0:
         raise EmptyData("cannot fit on an empty dataset")
-    if not np.isfinite(matrix).all() or not np.isfinite(targets).all():
-        raise NonFiniteInput("fit inputs must be finite")
+    check_finite("fit", matrix, targets)
     return matrix, targets
+
+
+def check_finite(what: str, *arrays: np.ndarray) -> None:
+    """Raise NonFiniteInput if any array holds a NaN or an infinity."""
+    if not all(np.isfinite(array).all() for array in arrays):
+        raise NonFiniteInput(f"{what} inputs must be finite")
 
 
 def train(
@@ -427,66 +432,38 @@ def to_json(ensemble: Ensemble) -> dict:
     }
 
 
+# JSON types of a model document's parts.  A bundle written by `train` adds
+# the encoder, schema, target mode and bins; a bare ensemble has none of them.
+_LEAF = {"weight": float}
+_SPLIT = {"feature": int, "threshold": float, "left": int, "right": int}
+_TREE = {"root": int, "nodes": list}
+_ENSEMBLE = {"format_version": Literal[FORMAT_VERSION], "kind": Literal["ensemble"],
+             "base_score": float, "learning_rate": float, "feature_layout": tuple[str, ...],
+             "trees": list}
+_BUNDLE = {"pipeline": dict, "schema": list, "target_mode": str, "bins": dict | None}
+
+
 def _require(condition: bool, location: str, message: str) -> None:
     if not condition:
         raise MalformedModel(f"{location}: {message}")
 
 
 def _check_tree(doc, layout_size: int, location: str) -> RegressionTree:
-    _require(isinstance(doc, dict), location, "tree must be an object")
-    nodes_doc = doc.get("nodes")
-    _require(isinstance(nodes_doc, list) and nodes_doc, location, "tree needs a non-empty node list")
-    root = doc.get("root", 0)
-    _require(isinstance(root, int) and 0 <= root < len(nodes_doc), location, f"bad root index {root!r}")
-
+    doc = check_doc(doc, _TREE, MalformedModel, location, required=_TREE.keys())
+    size, root = len(doc["nodes"]), doc["root"]
+    _require(0 <= root < size, location, f"bad root index {root!r} for {size} node(s)")
     nodes: list[TreeNode] = []
-    for i, node_doc in enumerate(nodes_doc):
+    for i, node_doc in enumerate(doc["nodes"]):
         where = f"{location}.nodes[{i}]"
-        _require(isinstance(node_doc, dict), where, "node must be an object")
-        if "weight" in node_doc:
-            _require(
-                set(node_doc) == {"weight"}, where, "leaf nodes carry exactly a weight"
-            )
-            weight = node_doc["weight"]
-            _require(
-                isinstance(weight, (int, float)) and math.isfinite(weight),
-                where,
-                f"non-finite leaf weight {weight!r}",
-            )
-            nodes.append(TreeNode(weight=float(weight)))
-        else:
-            _require(
-                set(node_doc) == {"feature", "threshold", "left", "right"},
-                where,
-                "internal nodes carry feature/threshold/left/right",
-            )
-            feature = node_doc["feature"]
-            threshold = node_doc["threshold"]
-            _require(
-                isinstance(feature, int) and 0 <= feature < layout_size,
-                where,
-                f"feature index {feature!r} outside layout of size {layout_size}",
-            )
-            _require(
-                isinstance(threshold, (int, float)) and math.isfinite(threshold),
-                where,
-                f"non-finite threshold {threshold!r}",
-            )
-            for side in ("left", "right"):
-                child = node_doc[side]
-                _require(
-                    isinstance(child, int) and 0 <= child < len(nodes_doc),
-                    where,
-                    f"{side} child index {child!r} out of range",
-                )
-            nodes.append(
-                TreeNode(
-                    feature=feature,
-                    threshold=float(threshold),
-                    left=node_doc["left"],
-                    right=node_doc["right"],
-                )
-            )
+        fields = _LEAF if isinstance(node_doc, dict) and "weight" in node_doc else _SPLIT
+        node = check_doc(node_doc, fields, MalformedModel, where, required=fields.keys())
+        if fields is _LEAF:
+            nodes.append(TreeNode(weight=float(node["weight"])))
+            continue
+        feature, left, right = node["feature"], node["left"], node["right"]
+        _require(0 <= feature < layout_size, where, f"feature index {feature} not in [0, {layout_size})")
+        _require(0 <= left < size and 0 <= right < size, where, f"child {left} or {right} out of range")
+        nodes.append(TreeNode(feature=feature, threshold=float(node["threshold"]), left=left, right=right))
 
     seen: set[int] = set()
     stack = [root]
@@ -497,49 +474,23 @@ def _check_tree(doc, layout_size: int, location: str) -> RegressionTree:
         node = nodes[idx]
         if not node.is_leaf:
             stack.extend((node.left, node.right))
-    _require(
-        len(seen) == len(nodes),
-        location,
-        f"{len(nodes) - len(seen)} node(s) unreachable from the root",
-    )
+    _require(len(seen) == size, location, f"{size - len(seen)} node(s) unreachable from the root")
     return RegressionTree(nodes=tuple(nodes), root=root)
 
 
 def from_json(doc) -> Ensemble:
-    """Validate and decode a model document; the error names the first
-    offending location."""
-    _require(isinstance(doc, dict), "model", "document must be an object")
-    _require(doc.get("format_version") == FORMAT_VERSION, "model.format_version",
-             f"unsupported format version {doc.get('format_version')!r}")
-    layout = doc.get("feature_layout")
-    _require(
-        isinstance(layout, list) and all(isinstance(x, str) for x in layout),
-        "model.feature_layout",
-        "must be a list of column names",
-    )
-    base = doc.get("base_score")
-    _require(
-        isinstance(base, (int, float)) and math.isfinite(base),
-        "model.base_score",
-        f"non-finite base score {base!r}",
-    )
-    rate = doc.get("learning_rate")
-    _require(
-        isinstance(rate, (int, float)) and math.isfinite(rate),
-        "model.learning_rate",
-        f"non-finite learning rate {rate!r}",
-    )
-    trees_doc = doc.get("trees")
-    _require(isinstance(trees_doc, list), "model.trees", "must be a list")
+    """Validate and decode a model document, bare or a `train` bundle; the
+    error names the first offending location."""
+    doc = check_doc(doc, {**_ENSEMBLE, **_BUNDLE}, MalformedModel, "model", required=_ENSEMBLE.keys())
+    layout = doc["feature_layout"]
     trees = tuple(
-        _check_tree(tree_doc, len(layout), f"model.trees[{k}]")
-        for k, tree_doc in enumerate(trees_doc)
+        _check_tree(tree, len(layout), f"model.trees[{k}]") for k, tree in enumerate(doc["trees"])
     )
     return Ensemble(
         trees=trees,
-        base_score=float(base),
-        learning_rate=float(rate),
-        feature_layout=tuple(layout),
+        base_score=float(doc["base_score"]),
+        learning_rate=float(doc["learning_rate"]),
+        feature_layout=layout,
     )
 
 

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import boosted_trees
-from .data_model import default_schema, load_csv, load_schema, schema_from_json, schema_to_json, write_csv
+from .data_model import default_schema, load_csv, load_schema, schema_to_json, write_csv
 from .errors import ConfigError, DataError, InvalidConfig, InvalidSpec, MalformedModel, ModelError
 from .eval_harness import (
     BINNED_RANGE,
@@ -68,11 +68,14 @@ def _cmd_predict(args) -> int:
     document = boosted_trees.load_model(args.model)
     ensemble = boosted_trees.from_json(document)
     try:
-        state = state_from_json(document["pipeline"])
-        schema = schema_from_json(document["schema"])
-    except (ConfigError, KeyError) as exc:
-        raise MalformedModel(f"model file {args.model}: bad embedded pipeline/schema: {exc}") from exc
-    table = load_csv(args.data, schema, allow_missing_target=True)
+        state = state_from_json(document.get("pipeline"))
+    except ConfigError as exc:
+        raise MalformedModel(f"model file {args.model}: bad embedded pipeline: {exc}") from exc
+    if document.get("schema") != document["pipeline"]["schema"]:
+        raise MalformedModel(f"model file {args.model}: its schema differs from pipeline.schema")
+    if ensemble.feature_layout != state.layout:
+        raise MalformedModel(f"model file {args.model}: its feature_layout differs from pipeline.layout")
+    table = load_csv(args.data, state.schema, allow_missing_target=True)
     matrix, _ = transform(table, state)
     predictions = ensemble.predict(matrix)
     with open(args.out, "w", encoding="utf-8") as handle:

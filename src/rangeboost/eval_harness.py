@@ -13,7 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -138,6 +138,10 @@ def default_missing_rates() -> dict:
     }
 
 
+# Largest synthetic catalog; a larger one would exhaust memory or numpy's array limits.
+MAX_PRODUCTS = 10_000_000
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     n_products: int = 1565
@@ -148,8 +152,8 @@ class SyntheticSpec:
     seed: int = 7
 
     def __post_init__(self):
-        if self.n_products < 10:
-            raise InvalidSpec(f"n_products must be >= 10, got {self.n_products}")
+        if not 10 <= self.n_products <= MAX_PRODUCTS:
+            raise InvalidSpec(f"n_products must be in [10, {MAX_PRODUCTS:,}], got {self.n_products}")
         if not self.categories:
             raise InvalidSpec("at least one category is required")
         if self.brand_count < 1:
@@ -463,11 +467,9 @@ def parse_document(doc, fields: dict, what: str) -> dict:
     share plus ``fields`` (key -> JSON type), and decode the shared ones:
     ``target_mode`` (defaulted), ``bins`` (a BinSpec) and ``pipeline``
     (replaced by ``plan`` and ``lexicon``, None when absent)."""
-    shared = {"target_mode": str, "bins": dict, "pipeline": dict}
+    shared = {"target_mode": Literal[RAW_SALES, BINNED_RANGE], "bins": dict, "pipeline": dict}
     doc = check_doc(doc, {**shared, **fields}, InvalidConfig, what)
-    target_mode = doc.setdefault("target_mode", BINNED_RANGE)
-    if target_mode not in (RAW_SALES, BINNED_RANGE):
-        raise InvalidConfig(f"unknown target mode {target_mode!r}")
+    doc.setdefault("target_mode", BINNED_RANGE)
     doc["bins"] = bins_from_json(doc["bins"]) if "bins" in doc else default_bins()
     pipeline = check_doc(
         doc.pop("pipeline", {}), {"plan": dict, "lexicon": dict}, InvalidConfig, "pipeline"

@@ -25,7 +25,7 @@ from .data_model import (
     schema_to_json,
 )
 from .errors import EmptyTrain, InvalidConfig, SchemaMismatch
-from .jsondoc import check_value, from_doc
+from .jsondoc import check_doc, from_doc
 
 UNKNOWN_TOKEN = "unknown"
 COMPOSITE_TOKEN = "composite"
@@ -267,18 +267,23 @@ def fit_pipeline(
             tiers.append({k: s / c for k, (s, c) in acc.items()})
         group_means[col.name] = tuple(tiers)
 
-    layout = [c.name for c in _numeric_features(train.schema)]
-    for col in _categorical_features(train.schema):
-        layout.extend(f"{col.name}={entry}" for entry in vocabularies[col.name])
-
     return EncoderState(
         schema=train.schema,
         plan=plan,
         lexicon=lexicon,
         vocabularies=vocabularies,
         group_means=group_means,
-        layout=tuple(layout),
+        layout=_layout(train.schema, vocabularies),
     )
+
+
+def _layout(schema: Sequence[ColumnSchema], vocabularies: dict) -> tuple[str, ...]:
+    """Encoded column names: each numeric feature, then one indicator per
+    vocabulary entry of each categorical feature."""
+    layout = [c.name for c in _numeric_features(schema)]
+    for col in _categorical_features(schema):
+        layout.extend(f"{col.name}={entry}" for entry in vocabularies[col.name])
+    return tuple(layout)
 
 
 def transform(table: DataTable, state: EncoderState) -> tuple[np.ndarray, np.ndarray]:
@@ -398,34 +403,51 @@ def state_to_json(state: EncoderState) -> dict:
     }
 
 
+# JSON types of an encoder state document (every key required) and of one
+# group-mean tier: [[group key values], mean] pairs.
+_STATE = {"schema": list, "plan": dict, "lexicon": dict, "vocabularies": dict[str, tuple[str, ...]],
+          "group_means": dict[str, tuple[dict, ...]], "layout": tuple[str, ...]}
+_TIER = {"means": tuple[tuple[tuple[str, ...], float], ...]}
+
+
 def state_from_json(doc) -> EncoderState:
-    try:
-        schema = schema_from_json(doc["schema"])
-        plan = plan_from_json(doc["plan"])
-        lexicon = lexicon_from_json(doc["lexicon"])
-        vocabularies = check_value(
-            doc["vocabularies"], dict[str, tuple[str, ...]], InvalidConfig, "vocabularies"
-        )
-        group_means = {
-            col: tuple({tuple(k): float(m) for k, m in tier["means"]} for tier in tiers)
-            for col, tiers in doc["group_means"].items()
-        }
-        layout = check_value(doc["layout"], tuple[str, ...], InvalidConfig, "layout")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InvalidConfig(f"malformed encoder state document: {exc}") from exc
+    """Decode an encoder state; its fitted values must be exactly those its
+    schema and plan call for, and its layout the one they give."""
+    doc = check_doc(doc, _STATE, InvalidConfig, "encoder state", required=_STATE.keys())
+    schema = schema_from_json(doc["schema"])
+    plan = plan_from_json(doc["plan"])
     _validate_plan(plan, schema)
-    unfitted = [c.name for c in _categorical_features(schema) if c.name not in vocabularies]
-    unfitted += [
-        n for n, s in plan.strategies.items() if isinstance(s, HierarchicalMean) and n not in group_means
-    ]
-    if unfitted:
-        raise InvalidConfig(f"encoder state lacks the fitted values of columns {unfitted}")
+    vocabularies = doc["vocabularies"]
+    categorical = {c.name for c in _categorical_features(schema)}
+    tiers = {n: s.tiers for n, s in plan.strategies.items() if isinstance(s, HierarchicalMean)}
+    if vocabularies.keys() != categorical or doc["group_means"].keys() != tiers.keys():
+        raise InvalidConfig(
+            f"encoder state must hold the vocabularies of {sorted(categorical)} "
+            f"and the group means of {sorted(tiers)}"
+        )
+    unsorted = [name for name, vocab in vocabularies.items() if list(vocab) != sorted(set(vocab))]
+    if unsorted:
+        raise InvalidConfig(f"vocabularies of {unsorted} are not sorted and free of repeats")
+    group_means = {}
+    for name, docs in doc["group_means"].items():
+        pairs = [
+            check_doc(tier, _TIER, InvalidConfig, f"group_means.{name}[{i}]", _TIER.keys())["means"]
+            for i, tier in enumerate(docs)
+        ]
+        fits = len(pairs) == len(tiers[name]) and all(
+            len(key) == len(keys) for keys, tier in zip(tiers[name], pairs) for key, _ in tier
+        )
+        if not fits:  # one tier per tier of the plan, each keyed by that tier's columns
+            raise InvalidConfig(f"group means of {name!r} do not fit the tiers {tiers[name]} of its plan")
+        group_means[name] = tuple({key: float(mean) for key, mean in tier} for tier in pairs)
+    layout = _layout(schema, vocabularies)
+    if doc["layout"] != layout:
+        raise InvalidConfig("encoder state layout differs from the one its schema and vocabularies give")
     return EncoderState(
         schema=schema,
         plan=plan,
-        lexicon=lexicon,
+        lexicon=lexicon_from_json(doc["lexicon"]),
         vocabularies=vocabularies,
         group_means=group_means,
         layout=layout,
     )
-

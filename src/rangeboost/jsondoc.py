@@ -33,45 +33,58 @@ def read_json(path, what: str, error: type[Exception]):
 
 def check_value(value, hint, error: type[Exception], where: str):
     """``value`` if it has the JSON type ``hint`` declares, with arrays
-    turned into the tuples or frozensets it names; else raise ``error``."""
+    turned into the tuples or frozensets it names; else raise ``error``.
+    ``tuple[A, B]`` is an array of exactly those types, and ``Literal``
+    names the values allowed."""
+    if type(hint) is type:  # a plain type, checked without typing introspection
+        if hint is float:  # exact for ints of any size; false for NaN and the infinities
+            ok = _is_number(value) and abs(value) <= sys.float_info.max
+        elif hint is int:
+            ok = type(value) is int or _is_number(value) and isinstance(value, numbers.Integral)
+        else:
+            ok = isinstance(value, hint)
+        if ok:
+            return value
+        raise error(f"{where} must be {_NAMES[hint]}, got {value!r}")
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
             return None
         (hint,) = (a for a in args if a is not type(None))
-        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        return check_value(value, hint, error, where)
     if origin in (tuple, frozenset) and isinstance(value, list):
-        return origin(check_value(v, args[0], error, f"{where}[{i}]") for i, v in enumerate(value))
+        hints = args if origin is tuple and args[-1] is not ... else args[:1] * len(value)
+        if len(hints) == len(value):
+            items = enumerate(zip(value, hints))
+            return origin(check_value(v, h, error, f"{where}[{i}]") for i, (v, h) in items)
     if origin is dict and isinstance(value, dict):
         return {k: check_value(v, args[1], error, f"{where}.{k}") for k, v in value.items()}
-    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if hint is float:  # exact for ints of any size; false for NaN and the infinities
-        ok = number and abs(value) <= sys.float_info.max
-    elif hint is int:
-        ok = number and isinstance(value, numbers.Integral)
-    else:
-        ok = origin is None and isinstance(value, hint)
-    if ok:
-        return value
-    raise error(f"{where} must be {_NAMES[origin or hint]}, got {value!r}")
+    if origin is typing.Literal and any(type(value) is type(a) and value == a for a in args):
+        return value  # 1 == 1.0 == True, hence the type test
+    expected = f"one of {list(args)}" if origin is typing.Literal else _NAMES[origin]
+    raise error(f"{where} must be {expected}, got {value!r}")
 
 
-def check_doc(doc, fields: dict, error: type[Exception], what: str) -> dict:
+def _is_number(value) -> bool:
+    """True for ints and floats (numpy's too), false for bools."""
+    return type(value) in (int, float) or isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_doc(doc, fields: dict, error: type[Exception], what: str, required=frozenset()) -> dict:
     """``doc`` as a dict, once it is an object whose keys all appear in
-    ``fields`` (key -> type) and whose values have those types."""
+    ``fields`` (key -> type), that has every key of the set ``required``,
+    and whose values have those types."""
     if not isinstance(doc, dict):
         raise error(f"{what} must be a JSON object, got {doc!r}")
-    extras = set(doc) - set(fields)
-    if extras:
-        raise error(f"unknown {what} keys: {sorted(extras)}")
+    if not doc.keys() <= fields.keys():
+        raise error(f"unknown {what} keys: {sorted(doc.keys() - fields.keys())}")
+    if not doc.keys() >= required:
+        raise error(f"{what} needs {sorted(required - doc.keys())}")
     return {key: check_value(value, fields[key], error, f"{what}.{key}") for key, value in doc.items()}
 
 
 def from_doc(cls, doc, error: type[Exception], what: str):
     """Build the dataclass ``cls`` from a JSON object keyed by its field
     names; the field annotations are the types ``check_doc`` checks."""
-    kwargs = check_doc(doc, typing.get_type_hints(cls), error, what)
     required = {f.name for f in dataclass_fields(cls) if f.default is f.default_factory is MISSING}
-    if required - set(kwargs):
-        raise error(f"{what} needs {sorted(required - set(kwargs))}")
-    return cls(**kwargs)
+    return cls(**check_doc(doc, typing.get_type_hints(cls), error, what, required))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rangeboost import baseline_models
 from rangeboost.baseline_models import (
     GbdtBaselineConfig,
     LinearModel,
@@ -14,7 +15,7 @@ from rangeboost.baseline_models import (
     ridge_posterior_mean,
     svr_objective,
 )
-from rangeboost.errors import EmptyData, InvalidConfig, LayoutMismatch
+from rangeboost.errors import EmptyData, InvalidConfig, LayoutMismatch, NonFiniteInput
 
 
 def test_ols_exact_line():
@@ -74,6 +75,24 @@ def test_bayes_ridge_large_alpha_shrinks_to_mean():
 def test_bayes_ridge_requires_positive_alpha():
     with pytest.raises(InvalidConfig):
         fit_bayes_ridge(np.ones((2, 1)), np.ones(2), alpha=0.0)
+
+
+def test_bayes_ridge_checks_its_inputs_once(monkeypatch):
+    checked = []
+    check = baseline_models.check_fit_inputs
+    monkeypatch.setattr(
+        baseline_models, "check_fit_inputs", lambda *args: checked.append(args) or check(*args)
+    )
+    fit_bayes_ridge(np.eye(3), np.arange(3.0))
+    assert len(checked) == 1
+
+
+@pytest.mark.parametrize("column", [[1.7e308, -1.7e308, 1e308], [1e200, -1e200, 3e200]])
+def test_bayes_ridge_rejects_overflowing_normal_equations(column):
+    # finite inputs whose centring (first) or Gram matrix (second) overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteInput, match="overflow"):
+            fit_bayes_ridge(np.array(column).reshape(-1, 1), np.arange(3.0))
 
 
 def test_gbdt_interpolates_distinct_rows():

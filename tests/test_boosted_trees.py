@@ -371,6 +371,16 @@ def test_predict_layout_mismatch():
         model.predict(np.zeros((3, 5)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_predict_rejects_a_non_finite_cell(bad):
+    rng = np.random.default_rng(12)
+    matrix = rng.normal(size=(20, 3))
+    model = train(matrix, rng.normal(size=20), TrainConfig(n_trees=3, max_depth=2))
+    matrix[7, 1] = bad
+    with pytest.raises(NonFiniteInput, match="predict inputs must be finite"):
+        model.predict(matrix)
+
+
 def test_single_leaf_prediction():
     tree = RegressionTree(nodes=(TreeNode(weight=0.7),))
     model = Ensemble(trees=(tree,), base_score=0.0, learning_rate=1.0, feature_layout=("x",))
@@ -456,6 +466,13 @@ def test_from_json_rejects_unreachable_nodes():
     nodes = [{"weight": 0.5}, {"weight": 1.0}]
     with pytest.raises(MalformedModel, match="unreachable"):
         from_json(_document_with_nodes(nodes))
+
+
+def test_from_json_loads_only_ensembles():
+    document = _document_with_nodes([{"weight": 0.5}])
+    assert from_json(document).trees[0].nodes[0].weight == 0.5
+    with pytest.raises(MalformedModel, match="model.kind"):
+        from_json({**document, "kind": "linear"})
 
 
 def test_from_json_rejects_bad_shapes():

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rangeboost.cli import main
 from rangeboost.data_model import default_schema, load_csv
@@ -220,6 +222,7 @@ MALFORMED_INPUTS = {
     "n-trees-float": ("train", "--config", {"model": {"n_trees": 2.5}}, 2),
     "max-depth-bool": ("train", "--config", {"model": {"max_depth": True}}, 2),
     "categories-number": ("synth", "--spec", {"categories": 3}, 2),
+    "synth-n-products-over-limit": ("synth", "--spec", {"n_products": 10**31}, 2),
     "model-plan-entry-not-object": (
         "predict",
         "--model",
@@ -248,6 +251,40 @@ MALFORMED_INPUTS = {
         "predict",
         "--model",
         lambda d: d.update(schema=[{"name": "Sales", "role": "target"}]),
+        4,
+    ),
+    "model-vocabulary-reversed": (
+        "predict",
+        "--model",
+        lambda d: d["pipeline"]["vocabularies"]["Brand"].reverse(),
+        4,
+    ),
+    "model-schema-differs-from-pipeline": (
+        "predict",
+        "--model",
+        lambda d: d["schema"].pop(0),
+        4,
+    ),
+    "model-feature-layout-differs-from-pipeline": (
+        "predict",
+        "--model",
+        lambda d: d["feature_layout"].reverse(),
+        4,
+    ),
+    "model-kind-linear": ("predict", "--model", lambda d: d.update(kind="linear"), 4),
+    "model-unknown-key": ("predict", "--model", lambda d: d.update(weights=[]), 4),
+    "model-target-mode-number": ("predict", "--model", lambda d: d.update(target_mode=42), 4),
+    "model-bins-string": ("predict", "--model", lambda d: d.update(bins="x"), 4),
+    "model-group-mean-bool": (
+        "predict",
+        "--model",
+        lambda d: d["pipeline"]["group_means"]["Price"][0]["means"][0].__setitem__(1, True),
+        4,
+    ),
+    "model-group-means-no-tiers": (
+        "predict",
+        "--model",
+        lambda d: d["pipeline"]["group_means"].update(Price=[]),
         4,
     ),
 }
@@ -289,3 +326,51 @@ def test_malformed_input_exits_with_its_code(case, trained, tmp_path, capsys):
     argv = [command] + [str(part) for pair in options.items() for part in pair]
     assert main(argv) == expected
     assert capsys.readouterr().err.startswith(("config error:", "data error:", "model error:"))
+
+
+def _paths(value, path=()):
+    """Every location in a JSON document, the document itself first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_model_file_never_raises(trained, data):
+    """Deleting any key or element of a trained model file, or swapping any
+    value for a JSON value of another type, never ends in a traceback."""
+    csv_path, model = trained
+    document = json.loads(model.read_text(encoding="utf-8"))
+    path = data.draw(st.sampled_from(list(_paths(document))))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]] if path else document
+    if path and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        new = data.draw(JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)))
+        if path:
+            parent[path[-1]] = new
+        else:
+            document = new
+    fuzzed = model.parent / "fuzzed.json"
+    fuzzed.write_text(json.dumps(document), encoding="utf-8")
+    argv = ["predict", "--model", fuzzed, "--data", csv_path, "--out", model.parent / "fuzzed.csv"]
+    assert main([str(part) for part in argv]) in (0, 2, 3, 4)
