@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosted_trees import Ensemble, TrainConfig, check_fit_inputs, train
+from .boosted_trees import Ensemble, TrainConfig, check_finite, check_fit_inputs, train
 from .errors import InvalidConfig, LayoutMismatch, NonFiniteInput
 
 
@@ -33,6 +33,7 @@ def predict_linear(model: LinearModel, matrix: np.ndarray) -> np.ndarray:
             f"matrix has {matrix.shape[1] if matrix.ndim == 2 else '?'} columns, "
             f"model expects {len(model.weights)}"
         )
+    check_finite("predict", matrix)
     return matrix @ np.asarray(model.weights, dtype=np.float64) + model.intercept
 
 

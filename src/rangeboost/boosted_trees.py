@@ -164,6 +164,8 @@ class Ensemble:
                 f"model expects {len(self.feature_layout)}"
             )
         check_finite("predict", matrix)  # NaN would route right at every split
+        # Column-major, so each split's gather reads one contiguous column.
+        matrix = np.asfortranarray(matrix)
         out = np.full(matrix.shape[0], self.base_score, dtype=np.float64)
         for tree in self.trees:
             out += tree.predict(matrix)
@@ -372,7 +374,7 @@ def train(
         grad = predictions - targets
         tree = grow_tree(rows, matrix, grad, hess, config, order, columns)
         trees.append(tree)
-        predictions += tree.predict(matrix)
+        predictions += tree.predict(columns.T)  # column-major view, as in Ensemble.predict
     return Ensemble(
         trees=tuple(trees),
         base_score=base,

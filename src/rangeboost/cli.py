@@ -77,6 +77,7 @@ def _cmd_predict(args) -> int:
         raise MalformedModel(f"model file {args.model}: its feature_layout differs from pipeline.layout")
     table = load_csv(args.data, state.schema, allow_missing_target=True)
     matrix, _ = transform(table, state)
+    del table  # frees the parsed rows before predict copies the matrix
     predictions = ensemble.predict(matrix)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("prediction\n")

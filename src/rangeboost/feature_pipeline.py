@@ -222,7 +222,9 @@ def _resolve_categoricals(table: DataTable, plan: ImputationPlan, lexicon: Color
                     values.append(UNKNOWN_TOKEN)
             resolved[col.name] = values
         elif isinstance(strat, ColorNormalize):
-            resolved[col.name] = [None if v is None else normalize_color(v, lexicon) for v in raw]
+            # One call per distinct raw colour: catalogs repeat a few listings.
+            normalized = {v: normalize_color(v, lexicon) for v in set(raw) if v is not None}
+            resolved[col.name] = [None if v is None else normalized[v] for v in raw]
         else:  # unreachable after plan validation
             resolved[col.name] = raw
     return resolved

@@ -220,6 +220,18 @@ def test_predict_linear_layout_mismatch():
         predict_linear(model, np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_linear_predict_rejects_a_non_finite_cell(bad):
+    rng = np.random.default_rng(12)
+    matrix = rng.normal(size=(20, 3))
+    targets = rng.normal(size=20)
+    models = [fit_ols(matrix, targets), fit_bayes_ridge(matrix, targets), fit_linear_svr(matrix, targets)]
+    matrix[7, 1] = bad
+    for model in models:
+        with pytest.raises(NonFiniteInput, match="predict inputs must be finite"):
+            model.predict(matrix)
+
+
 def test_fit_on_empty_raises():
     with pytest.raises(EmptyData):
         fit_ols(np.empty((0, 2)), np.empty(0))

@@ -365,6 +365,54 @@ def test_predict_additivity():
     )
 
 
+def _route_one_row(tree, row):
+    node = tree.nodes[tree.root]
+    while not node.is_leaf:
+        node = tree.nodes[node.left if row[node.feature] < node.threshold else node.right]
+    return node.weight
+
+
+def test_routing_ignores_memory_layout():
+    rng = np.random.default_rng(21)
+    train_matrix = rng.normal(size=(60, 4))
+    model = train(train_matrix, rng.normal(size=60), TrainConfig(n_trees=4, max_depth=3))
+    rows = [train_matrix]
+    for tree in model.trees:
+        for node in (n for n in tree.nodes if not n.is_leaf):
+            at = np.tile(rng.normal(size=4), (3, 1))
+            at[:, node.feature] = [
+                np.nextafter(node.threshold, -np.inf),
+                node.threshold,
+                np.nextafter(node.threshold, np.inf),
+            ]
+            rows.append(at)
+    matrix = np.vstack(rows)
+    wide = np.zeros((2 * matrix.shape[0], 3 * matrix.shape[1]))
+    wide[::2, ::3] = matrix
+    layouts = [np.ascontiguousarray(matrix), np.asfortranarray(matrix), wide[::2, ::3]]
+    assert layouts[1].flags.f_contiguous and not layouts[1].flags.c_contiguous
+    assert not (layouts[2].flags.c_contiguous or layouts[2].flags.f_contiguous)
+
+    expected = model.predict(layouts[0])
+    references = [np.array([_route_one_row(tree, row) for row in matrix]) for tree in model.trees]
+    for layout in layouts:
+        assert model.predict(layout).tobytes() == expected.tobytes()
+        for tree, reference in zip(model.trees, references):
+            assert tree.predict(layout).tobytes() == reference.tobytes()
+
+
+def test_training_ignores_memory_layout():
+    rng = np.random.default_rng(22)
+    matrix = rng.normal(size=(80, 5))
+    targets = rng.normal(size=80)
+    config = TrainConfig(n_trees=6, max_depth=4)
+    documents = [
+        json.dumps(to_json(train(layout, targets, config)))
+        for layout in (np.ascontiguousarray(matrix), np.asfortranarray(matrix))
+    ]
+    assert documents[0] == documents[1]
+
+
 def test_predict_layout_mismatch():
     model = Ensemble(trees=(), base_score=0.0, learning_rate=0.1, feature_layout=("a", "b"))
     with pytest.raises(LayoutMismatch):

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from rangeboost import feature_pipeline
 from rangeboost.data_model import (
     CATEGORICAL,
     NUMERIC,
@@ -221,6 +224,32 @@ def test_transform_on_row_shards_matches_whole_table():
     second, t_second = transform(table.subset(range(10, 20)), state)
     assert np.array_equal(np.vstack([first, second]), whole)
     assert np.array_equal(np.concatenate([t_first, t_second]), targets)
+
+
+def test_each_distinct_colour_normalized_once(monkeypatch):
+    raws = ["grey", "Dark Grey", None, "black/red", "grey", "teal", "Dark Grey", None, "grey"] * 3
+    table = _product_table([_row(colour=c) for c in raws])
+    per_row = [None if c is None else normalize_color(c) for c in raws]
+    vocabulary = sorted({c for c in per_row if c is not None})
+
+    calls = Counter()
+
+    def counted(raw, lexicon=None):
+        calls[raw] += 1
+        return normalize_color(raw, lexicon)
+
+    monkeypatch.setattr(feature_pipeline, "normalize_color", counted)
+    once = Counter({c: 1 for c in raws if c is not None})
+    state = fit_pipeline(table)
+    assert calls == once
+    calls.clear()
+    matrix, _ = transform(table, state)
+    assert calls == once
+
+    assert list(state.vocabularies["Colour"]) == vocabulary
+    block = [state.layout.index(f"Colour={c}") for c in vocabulary]
+    expected = np.array([[float(c == v) for v in vocabulary] for c in per_row])
+    assert np.array_equal(matrix[:, block], expected)
 
 
 def test_fit_transform_deterministic():
