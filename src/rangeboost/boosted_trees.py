@@ -12,15 +12,22 @@ collecting gradient sum G and hessian sum H the optimal weight is
 
     1/2 [ G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda) ] - gamma.
 
-With the 1/2-scaled squared loss the hessian is exactly 1 per row, so the
-second-order expansion is exact and the objective decreases monotonically
-round over round for any shrinkage in (0, 1].
+The learner is specialised to that 1/2-scaled squared loss: the hessian is
+exactly 1 per row, so the second-order expansion is exact and the objective
+decreases monotonically round over round for any shrinkage in (0, 1].
+``train`` therefore passes ``hess=None``, a unit hessian, and H over a set
+of rows is its row count, an exact integer in float64.
+
+Each column is sorted once per ``train`` call.  Every node carries, per
+feature, its rows and their values in (value, row) order; a split stably
+partitions both for its children, and children at ``max_depth`` (leaves)
+get no lists at all.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -190,45 +197,59 @@ def _threshold(lo: float, hi: float) -> float:
     return hi
 
 
-def _sort_rows(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Per feature, ``rows`` in (value, position in ``rows``) order; shape
-    (features, rows)."""
-    return rows[np.argsort(columns[:, rows], axis=1, kind="stable")]
+def _sort_rows(rows: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per feature, ``rows`` in (value, position in ``rows``) order and
+    their values in that order; shape (features, rows) each."""
+    order = rows[np.argsort(columns[:, rows], axis=1, kind="stable")]
+    return order, np.take_along_axis(columns, order, axis=1)
+
+
+def _cut(order: np.ndarray, values: np.ndarray, keep: np.ndarray, n_rows: int):
+    """The entries of ``order`` and ``values`` where ``keep`` is set, each
+    feature's in their sorted order; shape (features, n_rows) each.  Taken
+    by index: numpy copies a boolean selection run by run, which is slow on
+    the scattered masks of every feature but the split one."""
+    index = np.flatnonzero(keep)
+    shape = (order.shape[0], n_rows)
+    return order.take(index).reshape(shape), values.take(index).reshape(shape)
 
 
 def find_best_split(
     rows: np.ndarray,
     matrix: np.ndarray,
     grad: np.ndarray,
-    hess: np.ndarray,
+    hess: np.ndarray | None,
     config: TrainConfig,
     order: np.ndarray | None = None,
-    columns: np.ndarray | None = None,
+    values: np.ndarray | None = None,
 ) -> Split | None:
     """Exact-greedy scan over every feature and boundary threshold.
 
-    ``columns`` is ``matrix.T`` and ``order`` holds, per feature, the node's
-    rows in (value, row) order; both are derived from ``rows`` when omitted.
-    Candidates are boundaries between adjacent distinct sorted values, cut
-    by ``_threshold``; a candidate must leave at least min_child_weight of
-    hessian on each side and have strictly positive gain.  Ties on gain
-    resolve to the first maximum in (feature, threshold) order."""
+    ``order`` holds, per feature, the node's rows in (value, row) order and
+    ``values`` the feature values in that order; both are derived from
+    ``rows`` when either is omitted.  ``hess=None`` is a unit hessian, so the hessian
+    sum of a set of rows is its row count.  Candidates are boundaries
+    between adjacent distinct sorted values, cut by ``_threshold``; a
+    candidate must leave at least min_child_weight of hessian on each side
+    and have strictly positive gain.  Ties on gain resolve to the first
+    maximum in (feature, threshold) order."""
     if matrix.shape[1] == 0 or rows.shape[0] < 2:
         return None
-    if columns is None:
-        columns = matrix.T
-    if order is None:
-        order = _sort_rows(rows, columns)
-    values = np.take_along_axis(columns, order, axis=1)
+    if order is None or values is None:
+        order, values = _sort_rows(rows, matrix.T)
     g_cum = np.cumsum(grad[order], axis=1)
-    h_cum = np.cumsum(hess[order], axis=1)
     feature, position = np.nonzero(values[:, :-1] < values[:, 1:])
     if feature.size == 0:
         return None
     g_total = g_cum[feature, -1]
-    h_total = h_cum[feature, -1]
     g_left = g_cum[feature, position]
-    h_left = h_cum[feature, position]
+    if hess is None:  # exact integers in float64, so the gains keep their bits
+        h_total = float(rows.shape[0])
+        h_left = position + 1.0
+    else:
+        h_cum = np.cumsum(hess[order], axis=1)
+        h_total = h_cum[feature, -1]
+        h_left = h_cum[feature, position]
     g_right = g_total - g_left
     h_right = h_total - h_left
 
@@ -263,51 +284,53 @@ def grow_tree(
     rows: np.ndarray,
     matrix: np.ndarray,
     grad: np.ndarray,
-    hess: np.ndarray,
+    hess: np.ndarray | None,
     config: TrainConfig,
     order: np.ndarray | None = None,
-    columns: np.ndarray | None = None,
+    values: np.ndarray | None = None,
 ) -> RegressionTree:
-    """Depth-limited recursive growth; leaves store shrunken weights.
+    """Depth-limited growth in pre-order; leaves store shrunken weights.
 
-    ``order`` and ``columns`` are as in ``find_best_split``.  A split
-    stably partitions every feature's sorted row list, so each child's
-    lists stay in (value, row) order without sorting again."""
+    ``hess``, ``order`` and ``values`` are as in ``find_best_split``.  A
+    split stably partitions every feature's sorted rows and values, so each
+    child's lists stay in (value, row) order without sorting again; children
+    at ``max_depth`` are leaves and get no lists.  A node's lists are
+    dropped once its children's are cut."""
     rows = np.asarray(rows)
-    if columns is None:
-        columns = matrix.T
-    if order is None:
-        order = _sort_rows(rows, columns)
-    n_features = columns.shape[0]
+    if order is None or values is None:
+        order, values = _sort_rows(rows, matrix.T)
     goes_left = np.zeros(matrix.shape[0], dtype=bool)
     nodes: list[TreeNode] = []
-
-    def build(node_rows: np.ndarray, node_order: np.ndarray, depth: int) -> int:
+    # (rows, order, values, depth, index of the parent whose right child it is)
+    stack = [(rows, order, values, 0, None)]
+    while stack:
+        node_rows, node_order, node_values, depth, parent = stack.pop()
+        index = len(nodes)
+        if parent is not None:
+            nodes[parent] = replace(nodes[parent], right=index)
         split = None
         if depth < config.max_depth:
-            split = find_best_split(node_rows, matrix, grad, hess, config, node_order, columns)
-        index = len(nodes)
+            split = find_best_split(node_rows, matrix, grad, hess, config, node_order, node_values)
         if split is None:
             g_sum = float(np.sum(grad[node_rows]))
-            h_sum = float(np.sum(hess[node_rows]))
+            h_sum = float(node_rows.shape[0]) if hess is None else float(np.sum(hess[node_rows]))
             weight = config.learning_rate * leaf_weight(g_sum, h_sum, config.reg_lambda)
             nodes.append(TreeNode(weight=weight))
-            return index
-        nodes.append(TreeNode())  # placeholder; children filled in below
-        mask = columns[split.feature, node_rows] < split.threshold
-        goes_left[node_rows] = mask
-        flags = goes_left[node_order]
+            continue
+        # Pre-order: the left child is popped next, the right one after the
+        # left subtree, which fills in its index above.
+        nodes.append(TreeNode(feature=split.feature, threshold=split.threshold, left=index + 1))
+        goes_left[node_order[split.feature]] = node_values[split.feature] < split.threshold
+        mask = goes_left[node_rows]
         n_left = int(np.count_nonzero(mask))
-        left_order = node_order[flags].reshape(n_features, n_left)
-        right_order = node_order[~flags].reshape(n_features, node_rows.shape[0] - n_left)
-        left = build(node_rows[mask], left_order, depth + 1)
-        right = build(node_rows[~mask], right_order, depth + 1)
-        nodes[index] = TreeNode(
-            feature=split.feature, threshold=split.threshold, left=left, right=right
-        )
-        return index
-
-    build(rows, order, 0)
+        n_right = node_rows.shape[0] - n_left
+        left = right = (None, None)  # children at max_depth are leaves
+        if depth + 1 < config.max_depth:
+            flags = goes_left[node_order]
+            left = _cut(node_order, node_values, flags, n_left)
+            right = _cut(node_order, node_values, ~flags, n_right)
+        stack.append((node_rows[~mask], *right, depth + 1, index))
+        stack.append((node_rows[mask], *left, depth + 1, None))
     return RegressionTree(nodes=tuple(nodes), root=0)
 
 
@@ -363,16 +386,15 @@ def train(
     base = float(np.mean(targets)) if config.base_score is None else float(config.base_score)
     predictions = np.full(matrix.shape[0], base, dtype=np.float64)
     rows = np.arange(matrix.shape[0])
-    hess = np.ones(matrix.shape[0], dtype=np.float64)
-    # Built here rather than in grow_tree: its recursive closure is a
-    # reference cycle, so per-tree copies would linger until a full collection.
+    # Built once here, not per tree in grow_tree: every round starts from
+    # the same sorted root lists.
     columns = np.ascontiguousarray(matrix.T)
-    order = _sort_rows(rows, columns)
+    order, values = _sort_rows(rows, columns)
 
     trees: list[RegressionTree] = []
     for _ in range(config.n_trees):
         grad = predictions - targets
-        tree = grow_tree(rows, matrix, grad, hess, config, order, columns)
+        tree = grow_tree(rows, matrix, grad, None, config, order, values)
         trees.append(tree)
         predictions += tree.predict(columns.T)  # column-major view, as in Ensemble.predict
     return Ensemble(

@@ -288,6 +288,17 @@ def _layout(schema: Sequence[ColumnSchema], vocabularies: dict) -> tuple[str, ..
     return tuple(layout)
 
 
+def _one_hot(categories: Sequence[str | None], vocab: Sequence[str]) -> np.ndarray:
+    """Indicator block, one row per category and one column per vocabulary
+    entry; a missing or unseen category gives an all-zero row."""
+    index = {v: j for j, v in enumerate(vocab)}
+    codes = np.fromiter((index.get(v, -1) for v in categories), dtype=np.intp, count=len(categories))
+    block = np.zeros((len(categories), len(vocab)), dtype=np.float64)
+    seen = np.flatnonzero(codes >= 0)
+    block[seen, codes[seen]] = 1.0
+    return block
+
+
 def transform(table: DataTable, state: EncoderState) -> tuple[np.ndarray, np.ndarray]:
     """Encode a table into a dense feature matrix and a target vector.
 
@@ -328,14 +339,7 @@ def transform(table: DataTable, state: EncoderState) -> tuple[np.ndarray, np.nda
         blocks.append(np.asarray(filled, dtype=np.float64).reshape(n, 1))
 
     for col in _categorical_features(table.schema):
-        vocab = state.vocabularies[col.name]
-        index = {v: j for j, v in enumerate(vocab)}
-        block = np.zeros((n, len(vocab)), dtype=np.float64)
-        for i, v in enumerate(resolved[col.name]):
-            j = index.get(v)
-            if j is not None:
-                block[i, j] = 1.0
-        blocks.append(block)
+        blocks.append(_one_hot(resolved[col.name], state.vocabularies[col.name]))
 
     if blocks:
         matrix = np.concatenate(blocks, axis=1)

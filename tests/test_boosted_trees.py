@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -148,6 +149,8 @@ def test_find_best_split_matches_oracle_randomized():
         gamma = float(rng.uniform(0, 2))
         config = TrainConfig(reg_lambda=lam, gamma=gamma, min_child_weight=0.0)
         split = find_best_split(np.arange(n), matrix, grad, hess, config)
+        # A unit hessian left implicit gives the same split, gain to the bit.
+        assert find_best_split(np.arange(n), matrix, grad, None, config) == split
         oracle = enumerate_best_split(matrix, np.arange(n), grad, hess, lam, gamma, 0.0)
         if oracle is None:
             assert split is None
@@ -231,7 +234,9 @@ def test_grow_tree_depth_one_bound():
     assert sum(1 for node in tree.nodes if not node.is_leaf) <= 1
 
 
-def test_grow_tree_every_node_matches_oracle():
+@pytest.mark.parametrize("max_depth", [1, 2, 4])
+@pytest.mark.parametrize("unit_hessian", ["explicit", "implicit"])
+def test_grow_tree_every_node_matches_oracle(unit_hessian, max_depth):
     # Few distinct values per column, so sorted lists are full of ties that
     # the per-split partition must keep in (value, row) order.
     rng = np.random.default_rng(5)
@@ -241,8 +246,10 @@ def test_grow_tree_every_node_matches_oracle():
         grad = rng.normal(size=n)
         hess = np.ones(n)
         lam = float(rng.uniform(0, 2))
-        config = TrainConfig(reg_lambda=lam, gamma=0.0, max_depth=4, min_child_weight=1.0)
-        tree = grow_tree(np.arange(n), matrix, grad, hess, config)
+        config = TrainConfig(reg_lambda=lam, gamma=0.0, max_depth=max_depth, min_child_weight=1.0)
+        tree = grow_tree(
+            np.arange(n), matrix, grad, hess if unit_hessian == "explicit" else None, config
+        )
         stack = [(tree.root, np.arange(n), 0)]
         while stack:
             index, rows, depth = stack.pop()
@@ -250,12 +257,31 @@ def test_grow_tree_every_node_matches_oracle():
             oracle = enumerate_best_split(matrix, rows, grad, hess, lam, 0.0, 1.0)
             if node.is_leaf:
                 assert oracle is None or depth == config.max_depth
+                g_sum, h_sum = float(np.sum(grad[rows])), float(np.sum(hess[rows]))
+                assert node.weight == config.learning_rate * leaf_weight(g_sum, h_sum, lam)
                 continue
             assert (node.feature, node.threshold) == (oracle[1], oracle[2])
             mask = matrix[rows, node.feature] < node.threshold
             stack.append((node.left, rows[mask], depth + 1))
             stack.append((node.right, rows[~mask], depth + 1))
 
+
+
+def test_grow_tree_leaves_no_reference_cycle():
+    # A cycle would keep every node's sorted lists alive until a full
+    # collection.
+    rng = np.random.default_rng(8)
+    matrix = rng.normal(size=(200, 4))
+    grad = rng.normal(size=200)
+    config = TrainConfig(max_depth=4, min_child_weight=1.0)
+    gc.collect()
+    gc.disable()
+    try:
+        tree = grow_tree(np.arange(200), matrix, grad, np.ones(200), config)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert tree.n_leaves > 8
 
 def test_train_zero_trees_predicts_base():
     matrix = np.array([[1.0], [2.0]])

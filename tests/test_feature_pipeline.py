@@ -166,10 +166,15 @@ def test_hierarchical_fallback_to_product_tier():
 def test_unseen_category_encodes_to_zero_block():
     train = _product_table([_row(colour="grey"), _row(colour="black")])
     state = fit_pipeline(train)
-    test = _product_table([_row(colour="teal")])
+    # unseen and missing rows between seen ones, each in its own row
+    test = _product_table(
+        [_row(colour="teal"), _row(colour="black"), _row(colour=None), _row(colour="grey")]
+    )
     matrix, _ = transform(test, state)
-    colour_cols = [j for j, name in enumerate(state.layout) if name.startswith("Colour=")]
-    assert np.all(matrix[:, colour_cols] == 0.0)
+    assert state.vocabularies["Colour"] == ("black", "grey")
+    colour_cols = [state.layout.index("Colour=black"), state.layout.index("Colour=grey")]
+    expected = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(matrix[:, colour_cols], expected)
 
 
 def test_missing_colour_encodes_to_zero_block():
