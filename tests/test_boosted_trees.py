@@ -266,7 +266,6 @@ def test_grow_tree_every_node_matches_oracle(unit_hessian, max_depth):
             stack.append((node.right, rows[~mask], depth + 1))
 
 
-
 def test_grow_tree_leaves_no_reference_cycle():
     # A cycle would keep every node's sorted lists alive until a full
     # collection.
@@ -282,6 +281,7 @@ def test_grow_tree_leaves_no_reference_cycle():
     finally:
         gc.enable()
     assert tree.n_leaves > 8
+
 
 def test_train_zero_trees_predicts_base():
     matrix = np.array([[1.0], [2.0]])

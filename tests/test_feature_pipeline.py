@@ -166,7 +166,7 @@ def test_hierarchical_fallback_to_product_tier():
 def test_unseen_category_encodes_to_zero_block():
     train = _product_table([_row(colour="grey"), _row(colour="black")])
     state = fit_pipeline(train)
-    # unseen and missing rows between seen ones, each in its own row
+    # an unseen and a missing colour between seen ones
     test = _product_table(
         [_row(colour="teal"), _row(colour="black"), _row(colour=None), _row(colour="grey")]
     )
