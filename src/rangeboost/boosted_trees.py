@@ -16,7 +16,9 @@ The learner is specialised to that 1/2-scaled squared loss: the hessian is
 exactly 1 per row, so the second-order expansion is exact and the objective
 decreases monotonically round over round for any shrinkage in (0, 1].
 ``train`` therefore passes ``hess=None``, a unit hessian, and H over a set
-of rows is its row count, an exact integer in float64.
+of rows is its row count, an exact integer in float64.  ``find_best_split``
+and ``grow_tree`` keep their ``hess`` argument but take only ``None`` or an
+all-ones array.
 
 Each column is sorted once per ``train`` call.  Every node carries, per
 feature, its rows and their values in (value, row) order; a split stably
@@ -214,6 +216,13 @@ def _cut(order: np.ndarray, values: np.ndarray, keep: np.ndarray, n_rows: int):
     return order.take(index).reshape(shape), values.take(index).reshape(shape)
 
 
+def _check_unit_hessian(hess: np.ndarray | None) -> None:
+    """The learner is specialised to a unit hessian: ``hess`` must be
+    ``None`` or all ones."""
+    if hess is not None and not np.all(np.asarray(hess) == 1.0):
+        raise InvalidConfig("hess must be None or all ones: the learner fits squared loss")
+
+
 def find_best_split(
     rows: np.ndarray,
     matrix: np.ndarray,
@@ -227,12 +236,14 @@ def find_best_split(
 
     ``order`` holds, per feature, the node's rows in (value, row) order and
     ``values`` the feature values in that order; both are derived from
-    ``rows`` when either is omitted.  ``hess=None`` is a unit hessian, so the hessian
-    sum of a set of rows is its row count.  Candidates are boundaries
+    ``rows`` when either is omitted.  ``hess`` must be ``None`` or all ones
+    (a unit hessian), so the hessian sum of a set of rows is its row count,
+    an exact integer in float64.  Candidates are boundaries
     between adjacent distinct sorted values, cut by ``_threshold``; a
     candidate must leave at least min_child_weight of hessian on each side
     and have strictly positive gain.  Ties on gain resolve to the first
     maximum in (feature, threshold) order."""
+    _check_unit_hessian(hess)
     if matrix.shape[1] == 0 or rows.shape[0] < 2:
         return None
     if order is None or values is None:
@@ -243,13 +254,8 @@ def find_best_split(
         return None
     g_total = g_cum[feature, -1]
     g_left = g_cum[feature, position]
-    if hess is None:  # exact integers in float64, so the gains keep their bits
-        h_total = float(rows.shape[0])
-        h_left = position + 1.0
-    else:
-        h_cum = np.cumsum(hess[order], axis=1)
-        h_total = h_cum[feature, -1]
-        h_left = h_cum[feature, position]
+    h_total = float(rows.shape[0])
+    h_left = position + 1.0
     g_right = g_total - g_left
     h_right = h_total - h_left
 
@@ -296,6 +302,7 @@ def grow_tree(
     child's lists stay in (value, row) order without sorting again; children
     at ``max_depth`` are leaves and get no lists.  A node's lists are
     dropped once its children's are cut."""
+    _check_unit_hessian(hess)
     rows = np.asarray(rows)
     if order is None or values is None:
         order, values = _sort_rows(rows, matrix.T)
@@ -310,10 +317,10 @@ def grow_tree(
             nodes[parent] = replace(nodes[parent], right=index)
         split = None
         if depth < config.max_depth:
-            split = find_best_split(node_rows, matrix, grad, hess, config, node_order, node_values)
+            split = find_best_split(node_rows, matrix, grad, None, config, node_order, node_values)
         if split is None:
             g_sum = float(np.sum(grad[node_rows]))
-            h_sum = float(node_rows.shape[0]) if hess is None else float(np.sum(hess[node_rows]))
+            h_sum = float(node_rows.shape[0])
             weight = config.learning_rate * leaf_weight(g_sum, h_sum, config.reg_lambda)
             nodes.append(TreeNode(weight=weight))
             continue

@@ -149,7 +149,7 @@ def test_find_best_split_matches_oracle_randomized():
         gamma = float(rng.uniform(0, 2))
         config = TrainConfig(reg_lambda=lam, gamma=gamma, min_child_weight=0.0)
         split = find_best_split(np.arange(n), matrix, grad, hess, config)
-        # A unit hessian left implicit gives the same split, gain to the bit.
+        # None is the same unit hessian: the same split, gain to the bit.
         assert find_best_split(np.arange(n), matrix, grad, None, config) == split
         oracle = enumerate_best_split(matrix, np.arange(n), grad, hess, lam, gamma, 0.0)
         if oracle is None:
@@ -157,6 +157,17 @@ def test_find_best_split_matches_oracle_randomized():
         else:
             assert (split.feature, split.threshold) == (oracle[1], oracle[2])
             assert split.gain == pytest.approx(oracle[0], abs=1e-9)
+
+
+def test_split_search_takes_only_a_unit_hessian():
+    matrix = np.array([[1.0], [2.0], [3.0], [4.0]])
+    grad, hess = _gh_for([0.0, 0.0, 1.0, 1.0])
+    config = TrainConfig(reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
+    hess[2] = 2.0
+    with pytest.raises(InvalidConfig, match="hess must be None or all ones"):
+        find_best_split(np.arange(4), matrix, grad, hess, config)
+    with pytest.raises(InvalidConfig, match="hess must be None or all ones"):
+        grow_tree(np.arange(4), matrix, grad, hess, config)
 
 
 # Two rows whose midpoint is not strictly above the lower value: adjacent
@@ -235,8 +246,7 @@ def test_grow_tree_depth_one_bound():
 
 
 @pytest.mark.parametrize("max_depth", [1, 2, 4])
-@pytest.mark.parametrize("unit_hessian", ["explicit", "implicit"])
-def test_grow_tree_every_node_matches_oracle(unit_hessian, max_depth):
+def test_grow_tree_every_node_matches_oracle(max_depth):
     # Few distinct values per column, so sorted lists are full of ties that
     # the per-split partition must keep in (value, row) order.
     rng = np.random.default_rng(5)
@@ -247,9 +257,7 @@ def test_grow_tree_every_node_matches_oracle(unit_hessian, max_depth):
         hess = np.ones(n)
         lam = float(rng.uniform(0, 2))
         config = TrainConfig(reg_lambda=lam, gamma=0.0, max_depth=max_depth, min_child_weight=1.0)
-        tree = grow_tree(
-            np.arange(n), matrix, grad, hess if unit_hessian == "explicit" else None, config
-        )
+        tree = grow_tree(np.arange(n), matrix, grad, None, config)
         stack = [(tree.root, np.arange(n), 0)]
         while stack:
             index, rows, depth = stack.pop()
