@@ -20,10 +20,16 @@ of rows is its row count, an exact integer in float64.  ``find_best_split``
 and ``grow_tree`` keep their ``hess`` argument but take only ``None`` or an
 all-ones array.
 
-Each column is sorted once per ``train`` call.  Every node carries, per
-feature, its rows and their values in (value, row) order; a split stably
-partitions both for its children, and children at ``max_depth`` (leaves)
-get no lists at all.
+Split search is exact greedy over per-node histograms.  ``train`` codes each
+cell once by its rank among its column's distinct values, each column owning a
+contiguous range of bins (XGBoost's pre-sorted column block), and skips
+constant columns and copies of an earlier column.  A node's histogram holds
+per bin the gradient sum G (one ``np.bincount``, rows folded in ascending
+order) and the row count H; of a split's children the smaller is counted and
+the other is the parent minus it (LightGBM's sibling subtraction).  The bins
+are the distinct values, so the candidates are a sorted scan's; running sums
+restart at each column, whose G total is its own last running sum, so when no
+value repeats at a node every gain equals the sorted scan's to the bit.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -199,21 +205,64 @@ def _threshold(lo: float, hi: float) -> float:
     return hi
 
 
-def _sort_rows(rows: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per feature, ``rows`` in (value, position in ``rows``) order and
-    their values in that order; shape (features, rows) each."""
-    order = rows[np.argsort(columns[:, rows], axis=1, kind="stable")]
-    return order, np.take_along_axis(columns, order, axis=1)
+class _Bins(NamedTuple):
+    """A matrix's rank codes; see ``_rank_codes``."""
+
+    codes: np.ndarray  # (rows, kept columns) intp: each cell's bin
+    values: np.ndarray  # per bin: the distinct value it stands for
+    feature: np.ndarray  # per bin: its matrix column
+    column: np.ndarray  # per bin: its column's position among the kept ones
+    last: np.ndarray  # per bin: its column's last bin
+    runs: list  # bins of the columns of one width: a slice, or (columns, width)
 
 
-def _cut(order: np.ndarray, values: np.ndarray, keep: np.ndarray, n_rows: int):
-    """The entries of ``order`` and ``values`` where ``keep`` is set, each
-    feature's in their sorted order; shape (features, n_rows) each.  Taken
-    by index: numpy copies a boolean selection run by run, which is slow on
-    the scattered masks of every feature but the split one."""
-    index = np.flatnonzero(keep)
-    shape = (order.shape[0], n_rows)
-    return order.take(index).reshape(shape), values.take(index).reshape(shape)
+class _Histogram(NamedTuple):
+    bins: _Bins
+    g: np.ndarray  # gradient sum per bin
+    h: np.ndarray  # row count per bin: the unit hessian's sum
+
+
+def _rank_codes(matrix: np.ndarray) -> _Bins:
+    """Code each cell by the rank of its value among its column's distinct
+    values, offset so that each column owns a contiguous range of bins.
+    Constant columns, and columns identical to an earlier one, get no bins:
+    a copy's gains tie the first copy's to the bit, and the first maximum
+    wins."""
+    kept, seen = [], set()
+    for j in range(matrix.shape[1]):
+        key = matrix[:, j].tobytes()
+        if key not in seen and matrix[:, j].min() < matrix[:, j].max():
+            kept.append(j)
+        seen.add(key)
+    codes = np.empty((matrix.shape[0], len(kept)), dtype=np.intp)
+    values, start = [], 0
+    for i, j in enumerate(kept):
+        distinct, inverse = np.unique(matrix[:, j], return_inverse=True)
+        codes[:, i] = inverse + start
+        values.append(distinct)
+        start += distinct.size
+    widths = np.array([v.size for v in values], dtype=np.intp)
+    starts = np.cumsum(widths) - widths
+    runs = []
+    for width in np.unique(widths):
+        at = starts[widths == width]
+        runs.append(slice(at[0], at[0] + width) if at.size == 1 else at[:, None] + np.arange(width))
+    return _Bins(
+        codes=codes,
+        values=np.concatenate([np.empty(0), *values]),
+        feature=np.repeat(np.array(kept, dtype=np.intp), widths),
+        column=np.repeat(np.arange(len(kept)), widths),
+        last=np.repeat(starts + widths - 1, widths),
+        runs=runs,
+    )
+
+
+def _histogram(bins: _Bins, rows: np.ndarray, grad: np.ndarray) -> _Histogram:
+    """G and H of ``rows`` per bin; each bin folds its rows in the order of
+    ``rows``, ascending in the grower."""
+    codes, size = bins.codes[rows].ravel(), bins.values.size
+    g = np.bincount(codes, weights=grad[rows].repeat(bins.codes.shape[1]), minlength=size)
+    return _Histogram(bins, g, np.bincount(codes, minlength=size))
 
 
 def _check_unit_hessian(hess: np.ndarray | None) -> None:
@@ -229,33 +278,33 @@ def find_best_split(
     grad: np.ndarray,
     hess: np.ndarray | None,
     config: TrainConfig,
-    order: np.ndarray | None = None,
-    values: np.ndarray | None = None,
+    hist: _Histogram | None = None,
 ) -> Split | None:
     """Exact-greedy scan over every feature and boundary threshold.
 
-    ``order`` holds, per feature, the node's rows in (value, row) order and
-    ``values`` the feature values in that order; both are derived from
-    ``rows`` when either is omitted.  ``hess`` must be ``None`` or all ones
-    (a unit hessian), so the hessian sum of a set of rows is its row count,
-    an exact integer in float64.  Candidates are boundaries
-    between adjacent distinct sorted values, cut by ``_threshold``; a
-    candidate must leave at least min_child_weight of hessian on each side
-    and have strictly positive gain.  Ties on gain resolve to the first
-    maximum in (feature, threshold) order."""
+    ``hist`` is the node's histogram over the rank codes of ``matrix``,
+    built from ``rows`` when omitted.  ``hess`` must be ``None`` or all ones
+    (a unit hessian), so H over a set of rows is its row count.  Candidates
+    are boundaries between adjacent distinct values present at the node,
+    cut by ``_threshold``; a candidate must leave at least min_child_weight
+    of hessian on each side and have strictly positive gain.  Ties on gain
+    resolve to the first maximum in (feature, threshold) order."""
     _check_unit_hessian(hess)
-    if matrix.shape[1] == 0 or rows.shape[0] < 2:
+    bins, g, h = hist if hist is not None else _histogram(_rank_codes(matrix), rows, grad)
+    # Running sums over each column's bins in rank order; an empty bin adds
+    # 0.0.  G folds within the column, so its last sum is the column's total.
+    g_cum = np.empty_like(g)
+    for run in bins.runs:
+        g_cum[run] = g[run].cumsum(axis=-1)
+    n_rows = rows.shape[0]
+    h_cum = h.cumsum() - bins.column * n_rows  # each row has one bin per column
+    candidate = ((h > 0) & (h_cum < n_rows)).nonzero()[0]  # rows on both sides
+    if candidate.size == 0:
         return None
-    if order is None or values is None:
-        order, values = _sort_rows(rows, matrix.T)
-    g_cum = np.cumsum(grad[order], axis=1)
-    feature, position = np.nonzero(values[:, :-1] < values[:, 1:])
-    if feature.size == 0:
-        return None
-    g_total = g_cum[feature, -1]
-    g_left = g_cum[feature, position]
-    h_total = float(rows.shape[0])
-    h_left = position + 1.0
+    g_total = g_cum[bins.last[candidate]]
+    g_left = g_cum[candidate]
+    h_total = float(n_rows)
+    h_left = h_cum[candidate].astype(np.float64)
     g_right = g_total - g_left
     h_right = h_total - h_left
 
@@ -278,12 +327,13 @@ def find_best_split(
         )
     gains = np.where(usable, gains, -np.inf)
 
-    best = int(np.argmax(gains))
+    best = int(gains.argmax())
     if not gains[best] > 0.0:
         return None
-    col, boundary = feature[best], position[best]
-    threshold = _threshold(float(values[col, boundary]), float(values[col, boundary + 1]))
-    return Split(feature=int(col), threshold=threshold, gain=float(gains[best]))
+    lo = candidate[best]
+    hi = lo + 1 + h[lo + 1 :].nonzero()[0][0]  # the next present bin, same column
+    threshold = _threshold(float(bins.values[lo]), float(bins.values[hi]))
+    return Split(feature=int(bins.feature[lo]), threshold=threshold, gain=float(gains[best]))
 
 
 def grow_tree(
@@ -292,32 +342,30 @@ def grow_tree(
     grad: np.ndarray,
     hess: np.ndarray | None,
     config: TrainConfig,
-    order: np.ndarray | None = None,
-    values: np.ndarray | None = None,
+    bins: _Bins | None = None,
 ) -> RegressionTree:
     """Depth-limited growth in pre-order; leaves store shrunken weights.
 
-    ``hess``, ``order`` and ``values`` are as in ``find_best_split``.  A
-    split stably partitions every feature's sorted rows and values, so each
-    child's lists stay in (value, row) order without sorting again; children
-    at ``max_depth`` are leaves and get no lists.  A node's lists are
-    dropped once its children's are cut."""
+    ``hess`` is as in ``find_best_split``; ``bins`` are the rank codes of
+    ``matrix``, built when omitted.  Of a split's two children, the one
+    with fewer rows (the left on a tie) gets its histogram built from its
+    rows, the other the parent's minus it; children at ``max_depth`` are
+    leaves and get none."""
     _check_unit_hessian(hess)
     rows = np.asarray(rows)
-    if order is None or values is None:
-        order, values = _sort_rows(rows, matrix.T)
-    goes_left = np.zeros(matrix.shape[0], dtype=bool)
+    if bins is None:
+        bins = _rank_codes(matrix)
     nodes: list[TreeNode] = []
-    # (rows, order, values, depth, index of the parent whose right child it is)
-    stack = [(rows, order, values, 0, None)]
+    # (rows, histogram, depth, index of the parent whose right child it is)
+    stack = [(rows, _histogram(bins, rows, grad), 0, None)]
     while stack:
-        node_rows, node_order, node_values, depth, parent = stack.pop()
+        node_rows, hist, depth, parent = stack.pop()
         index = len(nodes)
         if parent is not None:
             nodes[parent] = replace(nodes[parent], right=index)
         split = None
         if depth < config.max_depth:
-            split = find_best_split(node_rows, matrix, grad, None, config, node_order, node_values)
+            split = find_best_split(node_rows, matrix, grad, None, config, hist)
         if split is None:
             g_sum = float(np.sum(grad[node_rows]))
             h_sum = float(node_rows.shape[0])
@@ -327,17 +375,16 @@ def grow_tree(
         # Pre-order: the left child is popped next, the right one after the
         # left subtree, which fills in its index above.
         nodes.append(TreeNode(feature=split.feature, threshold=split.threshold, left=index + 1))
-        goes_left[node_order[split.feature]] = node_values[split.feature] < split.threshold
-        mask = goes_left[node_rows]
-        n_left = int(np.count_nonzero(mask))
-        n_right = node_rows.shape[0] - n_left
-        left = right = (None, None)  # children at max_depth are leaves
+        mask = matrix[node_rows, split.feature] < split.threshold
+        left_rows, right_rows = node_rows[mask], node_rows[~mask]
+        left = right = None  # children at max_depth are leaves
         if depth + 1 < config.max_depth:
-            flags = goes_left[node_order]
-            left = _cut(node_order, node_values, flags, n_left)
-            right = _cut(node_order, node_values, ~flags, n_right)
-        stack.append((node_rows[~mask], *right, depth + 1, index))
-        stack.append((node_rows[mask], *left, depth + 1, None))
+            small = left_rows if left_rows.shape[0] <= right_rows.shape[0] else right_rows
+            built = _histogram(bins, small, grad)
+            derived = _Histogram(bins, hist.g - built.g, hist.h - built.h)
+            left, right = (built, derived) if small is left_rows else (derived, built)
+        stack.append((right_rows, right, depth + 1, index))
+        stack.append((left_rows, left, depth + 1, None))
     return RegressionTree(nodes=tuple(nodes), root=0)
 
 
@@ -375,7 +422,7 @@ def train(
 
     Each round recomputes per-row gradients against the current predictions,
     grows one tree, and adds its (already shrunken) outputs to the
-    prediction buffer.  Every column is sorted once, up front, for all
+    prediction buffer.  Every column is rank-coded once, up front, for all
     rounds.  Deterministic for a fixed config.  ``n_jobs`` is accepted for
     compatibility only: training runs on one thread, and neither its result
     nor its speed depends on ``n_jobs``.
@@ -393,17 +440,17 @@ def train(
     base = float(np.mean(targets)) if config.base_score is None else float(config.base_score)
     predictions = np.full(matrix.shape[0], base, dtype=np.float64)
     rows = np.arange(matrix.shape[0])
-    # Built once here, not per tree in grow_tree: every round starts from
-    # the same sorted root lists.
-    columns = np.ascontiguousarray(matrix.T)
-    order, values = _sort_rows(rows, columns)
+    # Column-major, as in Ensemble.predict: each partition and each update
+    # gather reads one contiguous column.
+    matrix = np.asfortranarray(matrix)
+    bins = _rank_codes(matrix)  # built once here, not per tree in grow_tree
 
     trees: list[RegressionTree] = []
     for _ in range(config.n_trees):
         grad = predictions - targets
-        tree = grow_tree(rows, matrix, grad, None, config, order, values)
+        tree = grow_tree(rows, matrix, grad, None, config, bins)
         trees.append(tree)
-        predictions += tree.predict(columns.T)  # column-major view, as in Ensemble.predict
+        predictions += tree.predict(matrix)
     return Ensemble(
         trees=tuple(trees),
         base_score=base,

@@ -9,6 +9,7 @@ n=1565, seed 7, with default configs everywhere.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,9 +297,17 @@ def test_criterion_11_report_fidelity():
 
 def test_pinned_binned_mse_bit_identity(pinned_reports):
     """The pinned binned MSEs of both tree learners, bit for bit as the
-    per-node-sort grower produced them before the pre-sorted one replaced
-    it; a split-search change that moves any model shows here."""
+    rank-code histogram grower (sibling subtraction, per-column folds)
+    produces them; a split-search change that moves any model shows here."""
     binned, _, _ = pinned_reports
     by_name = {row.model_name: row.mse for row in binned}
-    assert by_name["XGBoost"] == 1.939725127547726
-    assert by_name["GBDT"] == 1.9961317446847378
+    assert by_name["XGBoost"] == 1.9486861729631708
+    assert by_name["GBDT"] == 1.9976759008577087
+
+
+def test_readme_table_is_the_pinned_report(pinned_reports):
+    """README's comparison table is this suite's pinned binned report,
+    character for character, so a change that moves it must update README."""
+    binned, _, _ = pinned_reports
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert render_report(binned, "table") in readme

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_best_split, golden_section_minimize, leaf_objective
+from rangeboost import boosted_trees
 from rangeboost.baseline_models import GbdtBaselineConfig, fit_gbdt_first_order
 from rangeboost.boosted_trees import (
     Ensemble,
@@ -245,17 +246,35 @@ def test_grow_tree_depth_one_bound():
     assert sum(1 for node in tree.nodes if not node.is_leaf) <= 1
 
 
-@pytest.mark.parametrize("max_depth", [1, 2, 4])
-def test_grow_tree_every_node_matches_oracle(max_depth):
-    # Few distinct values per column, so sorted lists are full of ties that
-    # the per-split partition must keep in (value, row) order.
+def _grow_tree_oracle_cases():
+    # Few distinct values per column, so bins hold many rows each and their
+    # sums fold in another order than the oracle's row-by-row scan ...
     rng = np.random.default_rng(5)
     for _ in range(10):
         n = int(rng.integers(20, 80))
-        matrix = rng.integers(0, 4, size=(n, 3)).astype(np.float64)
-        grad = rng.normal(size=n)
+        yield rng.integers(0, 4, size=(n, 3)).astype(np.float64), rng.normal(size=n), float(rng.uniform(0, 2))
+    # ... and no repeated value, so every gain, through sibling subtraction
+    # too, must equal the oracle's to the bit.
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        n = int(rng.integers(20, 80))
+        yield rng.normal(size=(n, 3)), rng.normal(size=n), float(rng.uniform(0, 2))
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 4])
+def test_grow_tree_every_node_matches_oracle(max_depth, monkeypatch):
+    searched = {}  # node rows -> the split grow_tree's own search returned
+
+    def recording_search(rows, *args):
+        searched[rows.tobytes()] = split = find_best_split(rows, *args)
+        return split
+
+    monkeypatch.setattr(boosted_trees, "find_best_split", recording_search)
+    for matrix, grad, lam in _grow_tree_oracle_cases():
+        searched.clear()
+        n = matrix.shape[0]
+        distinct = all(np.unique(column).size == n for column in matrix.T)
         hess = np.ones(n)
-        lam = float(rng.uniform(0, 2))
         config = TrainConfig(reg_lambda=lam, gamma=0.0, max_depth=max_depth, min_child_weight=1.0)
         tree = grow_tree(np.arange(n), matrix, grad, None, config)
         stack = [(tree.root, np.arange(n), 0)]
@@ -269,13 +288,78 @@ def test_grow_tree_every_node_matches_oracle(max_depth):
                 assert node.weight == config.learning_rate * leaf_weight(g_sum, h_sum, lam)
                 continue
             assert (node.feature, node.threshold) == (oracle[1], oracle[2])
+            if distinct:
+                assert searched[rows.tobytes()].gain == oracle[0]
             mask = matrix[rows, node.feature] < node.threshold
             stack.append((node.left, rows[mask], depth + 1))
             stack.append((node.right, rows[~mask], depth + 1))
 
 
+def test_find_best_split_gain_bit_exact_on_distinct_values():
+    # Each bin holds at most one row, and a column's running sums and total
+    # fold its rows in the oracle's order, so gains agree to the bit.
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        n = int(rng.integers(2, 60))
+        matrix = rng.normal(size=(n, int(rng.integers(1, 6))))
+        rows = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        grad = rng.normal(size=n) * 3.0
+        lam, gamma = float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 2.0))
+        config = TrainConfig(reg_lambda=lam, gamma=gamma, min_child_weight=0.0)
+        split = find_best_split(rows, matrix, grad, None, config)
+        oracle = enumerate_best_split(matrix, rows, grad, np.ones(n), lam, gamma, 0.0)
+        if oracle is None:
+            assert split is None
+        else:
+            assert (split.gain, split.feature, split.threshold) == oracle
+
+
+def test_sibling_subtraction_equals_counting():
+    rng = np.random.default_rng(43)
+    grad = rng.normal(size=300)
+    rows = np.arange(300)
+    for matrix in (rng.integers(0, 6, size=(300, 4)).astype(np.float64), rng.normal(size=(300, 4))):
+        bins = boosted_trees._rank_codes(matrix)
+        parent = boosted_trees._histogram(bins, rows, grad)
+        mask = matrix[:, 1] < np.median(matrix[:, 1])
+        left = boosted_trees._histogram(bins, rows[mask], grad)
+        right = boosted_trees._histogram(bins, rows[~mask], grad)
+        assert np.array_equal(parent.h - left.h, right.h)
+        assert np.allclose(parent.g - left.g, right.g, rtol=0.0, atol=1e-12)
+    # No repeated value: one row per bin, so G subtracts exactly too.
+    assert np.array_equal(parent.g - left.g, right.g)
+
+
+def test_duplicate_and_constant_columns_change_no_tree():
+    rng = np.random.default_rng(41)
+    n = 150
+    matrix = np.column_stack(
+        [rng.normal(size=n), rng.integers(0, 2, size=n), rng.integers(0, 5, size=n)]
+    ).astype(np.float64)
+    targets = rng.normal(size=n)
+    wide = np.hstack([matrix, matrix, np.full((n, 1), 3.0)])
+    for config in (TrainConfig(n_trees=10, max_depth=3), TrainConfig(n_trees=5, reg_lambda=0.0)):
+        narrow_doc, wide_doc = to_json(train(matrix, targets, config)), to_json(train(wide, targets, config))
+        assert len(narrow_doc.pop("feature_layout")) == 3
+        assert len(wide_doc.pop("feature_layout")) == 7
+        assert json.dumps(narrow_doc) == json.dumps(wide_doc)
+
+
+def test_rank_codes_merge_signed_zeros_and_keep_close_or_huge_values_apart():
+    above_one = float(np.nextafter(1.0, 2.0))
+    matrix = np.array([[-0.0, 1.0, -1.7e308], [0.0, above_one, 1.7e308], [1.0, 1.0, 1.7e308]])
+    bins = boosted_trees._rank_codes(matrix)
+    # -0.0 and 0.0 share one bin: no threshold t has -0.0 < t <= 0.0.
+    assert bins.codes[0, 0] == bins.codes[1, 0] != bins.codes[2, 0]
+    assert bins.feature.tolist() == [0, 0, 1, 1, 2, 2]
+    assert bins.values[2:].tolist() == [1.0, above_one, -1.7e308, 1.7e308]
+    config = TrainConfig(reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
+    signed_zeros = np.array([[-0.0], [0.0]])
+    assert find_best_split(np.arange(2), signed_zeros, np.array([-1.0, 1.0]), None, config) is None
+
+
 def test_grow_tree_leaves_no_reference_cycle():
-    # A cycle would keep every node's sorted lists alive until a full
+    # A cycle would keep every node's histogram alive until a full
     # collection.
     rng = np.random.default_rng(8)
     matrix = rng.normal(size=(200, 4))
