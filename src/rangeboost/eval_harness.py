@@ -237,10 +237,7 @@ def generate_synthetic(spec: SyntheticSpec | None = None) -> DataTable:
         values = columns[col.name]
         columns[col.name] = [None if mask[i] else values[i] for i in range(n)]
 
-    rows = tuple(
-        tuple(columns[col.name][i] for col in schema) for i in range(n)
-    )
-    return DataTable(schema, rows)
+    return DataTable(schema, tuple(zip(*(columns[col.name] for col in schema))))
 
 
 # ---------------------------------------------------------------------------

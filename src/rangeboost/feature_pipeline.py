@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -63,8 +65,9 @@ class ColorLexicon:
     def __post_init__(self):
         if not self.base_colors:
             raise InvalidConfig("colour lexicon needs at least one base colour")
-        if not self.multi_color_delimiters:
-            raise InvalidConfig("colour lexicon needs at least one delimiter")
+        delimiters = self.multi_color_delimiters
+        if not delimiters or "" in delimiters:
+            raise InvalidConfig(f"colour lexicon needs one or more delimiters, none empty: {delimiters}")
 
 
 def normalize_color(raw: str, lexicon: ColorLexicon | None = None) -> str:
@@ -129,9 +132,6 @@ class ImputationPlan:
     """Exactly one strategy per feature column, plus ZeroFill on the target."""
 
     strategies: dict
-
-    def for_column(self, name: str):
-        return self.strategies[name]
 
 
 def default_plan() -> ImputationPlan:
@@ -208,7 +208,7 @@ def _resolve_categoricals(table: DataTable, plan: ImputationPlan, lexicon: Color
     lists where ``None`` marks a category that stays unencodable."""
     resolved: dict[str, list] = {}
     for col in _categorical_features(table.schema):
-        strat = plan.for_column(col.name)
+        strat = plan.strategies[col.name]
         raw = table.column(col.name)
         if isinstance(strat, CrossFill):
             partner = table.column(strat.partner) if strat.partner else [None] * table.n
@@ -221,13 +221,20 @@ def _resolve_categoricals(table: DataTable, plan: ImputationPlan, lexicon: Color
                 else:
                     values.append(UNKNOWN_TOKEN)
             resolved[col.name] = values
-        elif isinstance(strat, ColorNormalize):
+        else:  # ColorNormalize, the only other categorical strategy
             # One call per distinct raw colour: catalogs repeat a few listings.
             normalized = {v: normalize_color(v, lexicon) for v in set(raw) if v is not None}
             resolved[col.name] = [None if v is None else normalized[v] for v in raw]
-        else:  # unreachable after plan validation
-            resolved[col.name] = raw
     return resolved
+
+
+def _group_keys(tier: Sequence[str], resolved: dict, rows: Sequence[int]) -> list:
+    """Group key of each of ``rows`` under ``tier``: the tuple of its key
+    columns' resolved values, or ``None`` when one of them is missing."""
+    if not tier:
+        return [()] * len(rows)
+    picked = [[resolved[k][i] for i in rows] for k in tier]
+    return [None if None in key else key for key in zip(*picked)]
 
 
 def fit_pipeline(
@@ -250,23 +257,18 @@ def fit_pipeline(
 
     group_means: dict[str, tuple] = {}
     for col in _numeric_features(train.schema):
-        strat = plan.for_column(col.name)
+        strat = plan.strategies[col.name]
         if not isinstance(strat, HierarchicalMean):
             continue
         values = train.column(col.name)
         tiers = []
         for tier in strat.tiers:
-            acc: dict[tuple, list] = {}
-            for i, v in enumerate(values):
-                if v is None:
-                    continue
-                key = tuple(resolved[k][i] for k in tier)
-                if any(part is None for part in key):
-                    continue
-                bucket = acc.setdefault(key, [0.0, 0])
-                bucket[0] += v
-                bucket[1] += 1
-            tiers.append({k: s / c for k, (s, c) in acc.items()})
+            groups: dict[tuple, list] = {}
+            for v, key in zip(values, _group_keys(tier, resolved, range(train.n))):
+                if v is not None and key is not None:
+                    groups.setdefault(key, []).append(v)
+            # A left fold from 0.0 in ascending row order fixes every mean's bits.
+            tiers.append({k: reduce(add, vs, 0.0) / len(vs) for k, vs in groups.items()})
         group_means[col.name] = tuple(tiers)
 
     return EncoderState(
@@ -315,27 +317,23 @@ def transform(table: DataTable, state: EncoderState) -> tuple[np.ndarray, np.nda
 
     blocks: list[np.ndarray] = []
     for col in _numeric_features(table.schema):
-        strat = state.plan.for_column(col.name)
+        strat = state.plan.strategies[col.name]
         values = table.column(col.name)
         if isinstance(strat, ZeroFill):
             filled = [0.0 if v is None else v for v in values]
-        else:  # HierarchicalMean
-            tiers = state.group_means[col.name]
-            tier_keys = strat.tiers
-            filled = []
-            for i, v in enumerate(values):
-                if v is not None:
-                    filled.append(v)
-                    continue
-                fallback = 0.0
-                for keys, means in zip(tier_keys, tiers):
-                    key = tuple(resolved[k][i] for k in keys)
-                    if any(part is None for part in key):
-                        continue
+        else:  # HierarchicalMean: the first tier that saw a row's group fills it
+            filled = list(values)
+            pending = [i for i, v in enumerate(values) if v is None]
+            for tier, means in zip(strat.tiers, state.group_means[col.name]):
+                unseen = []
+                for i, key in zip(pending, _group_keys(tier, resolved, pending)):
                     if key in means:
-                        fallback = means[key]
-                        break
-                filled.append(fallback)
+                        filled[i] = means[key]
+                    else:
+                        unseen.append(i)
+                pending = unseen
+            for i in pending:
+                filled[i] = 0.0
         blocks.append(np.asarray(filled, dtype=np.float64).reshape(n, 1))
 
     for col in _categorical_features(table.schema):

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rangeboost.cli import main
-from rangeboost.data_model import default_schema, load_csv
+from rangeboost.data_model import default_schema, load_csv, save_schema
+from rangeboost.feature_pipeline import ColorLexicon, default_plan, lexicon_to_json, plan_to_json
+from rangeboost.range_binning import bins_to_json, default_bins
 
 
 @pytest.fixture
@@ -218,6 +220,19 @@ MALFORMED_INPUTS = {
         2,
     ),
     "bins-edges-string": ("train", "--config", {"bins": {"edges": "ab"}}, 2),
+    "bins-first-edge-above-zero": ("train", "--config", {"bins": {"edges": [10, 20, 30]}}, 2),
+    "experiment-bins-first-edge-above-zero": (
+        "compare",
+        "--experiment",
+        {**TINY_EXPERIMENT, "bins": {"edges": [10, 20, 30]}},
+        2,
+    ),
+    "lexicon-empty-delimiter": (
+        "train",
+        "--config",
+        {"pipeline": {"lexicon": {"multi_color_delimiters": ["/", ""]}}},
+        2,
+    ),
     "lexicon-base-colors-number": ("train", "--config", {"pipeline": {"lexicon": {"base_colors": 3}}}, 2),
     "n-trees-float": ("train", "--config", {"model": {"n_trees": 2.5}}, 2),
     "max-depth-bool": ("train", "--config", {"model": {"max_depth": True}}, 2),
@@ -350,13 +365,47 @@ JSON_VALUES = st.recursive(
 )
 
 
+def _documents(csv_path, model):
+    """The three JSON inputs the fuzz test mutates, each with every section
+    filled in: a trained model file, a train config and an experiment."""
+    root = model.parent
+    save_schema(default_schema(), root / "schema.json")
+    shared = {
+        "target_mode": "binned_range",
+        "bins": bins_to_json(default_bins()),
+        "pipeline": {"plan": plan_to_json(default_plan()), "lexicon": lexicon_to_json(ColorLexicon())},
+    }
+    tree_config = {"n_trees": 2, "learning_rate": 0.3, "max_depth": 3, "min_child_weight": 1.0}
+    return {
+        "model": json.loads(model.read_text(encoding="utf-8")),
+        "train-config": {**shared, "model": {**tree_config, "reg_lambda": 1.0, "base_score": None}},
+        "experiment": {
+            **shared,
+            "dataset": {"csv": str(csv_path), "schema": str(root / "schema.json")},
+            "train_fraction": 0.8,
+            "seed": 5,
+            "round_predictions": True,
+            "output": None,
+            "models": [
+                {"name": "XGBoost", "kind": "boosted_trees", "config": tree_config},
+                {"name": "GBDT", "kind": "gbdt", "config": {"n_trees": 2, "min_samples_leaf": 1}},
+                {"name": "Linear", "kind": "ols"},
+                {"name": "Bayes", "kind": "bayes_ridge", "config": {"alpha": 1.0}},
+                {"name": "SVM", "kind": "linear_svr", "config": {"epsilon": 0.1, "epochs": 20}},
+            ],
+        },
+    }
+
+
+@pytest.mark.parametrize("kind", ["model", "train-config", "experiment"])
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_mutated_model_file_never_raises(trained, data):
-    """Deleting any key or element of a trained model file, or swapping any
-    value for a JSON value of another type, never ends in a traceback."""
+def test_mutated_document_never_raises(kind, trained, data):
+    """Deleting any key or element of a trained model file, a train config
+    or an experiment, or swapping any value for a JSON value of another
+    type, exits 0, 2, 3 or 4 and never ends in a traceback."""
     csv_path, model = trained
-    document = json.loads(model.read_text(encoding="utf-8"))
+    document = _documents(csv_path, model)[kind]
     path = data.draw(st.sampled_from(list(_paths(document))))
     parent = document
     for key in path[:-1]:
@@ -370,7 +419,12 @@ def test_mutated_model_file_never_raises(trained, data):
             parent[path[-1]] = new
         else:
             document = new
-    fuzzed = model.parent / "fuzzed.json"
+    root = model.parent
+    fuzzed = root / "fuzzed.json"
     fuzzed.write_text(json.dumps(document), encoding="utf-8")
-    argv = ["predict", "--model", fuzzed, "--data", csv_path, "--out", model.parent / "fuzzed.csv"]
+    argv = {
+        "model": ["predict", "--model", fuzzed, "--data", csv_path, "--out", root / "fuzzed.csv"],
+        "train-config": ["train", "--data", csv_path, "--config", fuzzed, "--model-out", root / "fuzzed-model.json"],
+        "experiment": ["compare", "--experiment", fuzzed, "--out", root / "fuzzed-report.json"],
+    }[kind]
     assert main([str(part) for part in argv]) in (0, 2, 3, 4)

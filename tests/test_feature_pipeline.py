@@ -324,3 +324,5 @@ def test_lexicon_validation():
         ColorLexicon(base_colors=frozenset())
     with pytest.raises(InvalidConfig):
         ColorLexicon(multi_color_delimiters=())
+    with pytest.raises(InvalidConfig):
+        ColorLexicon(multi_color_delimiters=("/", ""))

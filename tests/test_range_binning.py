@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rangeboost.errors import InvalidConfig, NegativeValue
 from rangeboost.range_binning import (
@@ -81,6 +83,24 @@ def test_custom_bins_validation():
         BinSpec(edges=(0, 10), labels=("a", "b"))
     with pytest.raises(InvalidConfig):
         BinSpec(edges=(5,))
+    with pytest.raises(InvalidConfig, match="first bin edge"):
+        BinSpec(edges=(10, 20, 30))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    edges=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=6, unique=True),
+    value=st.floats(0, 1e7),
+)
+def test_bin_of_never_returns_a_negative_bin(edges, value):
+    """Every bin spec the constructor accepts puts every sales volume in one
+    of its bins."""
+    try:
+        spec = BinSpec(edges=sorted(edges))
+    except InvalidConfig:
+        return
+    assert 0 <= bin_of(value, spec) < spec.n_bins
+    assert 0 <= apply_binning([value], spec)[0] < spec.n_bins
 
 
 def test_custom_bins_derive_labels_and_round_trip():
