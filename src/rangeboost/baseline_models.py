@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosted_trees import Ensemble, TrainConfig, check_finite, check_fit_inputs, train
-from .errors import InvalidConfig, LayoutMismatch, NonFiniteInput
+from .boosted_trees import Ensemble, TrainConfig, check_fit_inputs, check_predict_inputs, train
+from .errors import InvalidConfig, NonFiniteInput
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,7 @@ class LinearModel:
 
 
 def predict_linear(model: LinearModel, matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != len(model.weights):
-        raise LayoutMismatch(
-            f"matrix has {matrix.shape[1] if matrix.ndim == 2 else '?'} columns, "
-            f"model expects {len(model.weights)}"
-        )
-    check_finite("predict", matrix)
+    matrix = check_predict_inputs(matrix, len(model.weights))
     return matrix @ np.asarray(model.weights, dtype=np.float64) + model.intercept
 
 

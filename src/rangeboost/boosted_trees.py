@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Literal, NamedTuple, Sequence
 
@@ -172,15 +173,8 @@ class Ensemble:
     feature_layout: tuple[str, ...]
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] != len(self.feature_layout):
-            raise LayoutMismatch(
-                f"matrix has {matrix.shape[1] if matrix.ndim == 2 else '?'} columns, "
-                f"model expects {len(self.feature_layout)}"
-            )
-        check_finite("predict", matrix)  # NaN would route right at every split
         # Column-major, so each split's gather reads one contiguous column.
-        matrix = np.asfortranarray(matrix)
+        matrix = np.asfortranarray(check_predict_inputs(matrix, len(self.feature_layout)))
         out = np.full(matrix.shape[0], self.base_score, dtype=np.float64)
         for tree in self.trees:
             out += tree.predict(matrix)
@@ -405,6 +399,17 @@ def check_fit_inputs(matrix, targets) -> tuple[np.ndarray, np.ndarray]:
     return matrix, targets
 
 
+def check_predict_inputs(matrix, n_columns: int) -> np.ndarray:
+    """The one input check of every predict: a finite 2-D float matrix with
+    ``n_columns`` columns (a NaN would route right at every split)."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[1] != n_columns:
+        got = matrix.shape[1] if matrix.ndim == 2 else "?"
+        raise LayoutMismatch(f"matrix has {got} columns, model expects {n_columns}")
+    check_finite("predict", matrix)
+    return matrix
+
+
 def check_finite(what: str, *arrays: np.ndarray) -> None:
     """Raise NonFiniteInput if any array holds a NaN or an infinity."""
     if not all(np.isfinite(array).all() for array in arrays):
@@ -478,27 +483,29 @@ def objective_value(
     return loss + penalty
 
 
+# JSON types of a model document's parts.  A bundle written by `train` adds
+# the encoder, schema, target mode and bins; a bare ensemble has none of them.
 FORMAT_VERSION = 1
+_LEAF = {"weight": float}
+_SPLIT = {"feature": int, "threshold": float, "left": int, "right": int}
+_TREE = {"root": int, "nodes": list}
+_ENSEMBLE = {"format_version": Literal[FORMAT_VERSION], "kind": Literal["ensemble"],
+             "base_score": float, "learning_rate": float, "feature_layout": tuple[str, ...],
+             "trees": list}
+_BUNDLE = {"pipeline": dict, "schema": list, "target_mode": str, "bins": dict | None}
+_SPLIT_VALUES = attrgetter(*_SPLIT)  # a split node's attributes, in _SPLIT's key order
 
 
 def to_json(ensemble: Ensemble) -> dict:
-    """Model document; floats survive bit-exactly via shortest-round-trip
-    text."""
+    """Model document, each node keyed by the table ``from_json`` checks it
+    against; floats survive bit-exactly via shortest-round-trip text."""
     trees = []
     for tree in ensemble.trees:
-        nodes = []
-        for node in tree.nodes:
-            if node.is_leaf:
-                nodes.append({"weight": node.weight})
-            else:
-                nodes.append(
-                    {
-                        "feature": node.feature,
-                        "threshold": node.threshold,
-                        "left": node.left,
-                        "right": node.right,
-                    }
-                )
+        nodes = [
+            {key: getattr(node, key) for key in _LEAF} if node.is_leaf
+            else dict(zip(_SPLIT, _SPLIT_VALUES(node)))
+            for node in tree.nodes
+        ]
         trees.append({"root": tree.root, "nodes": nodes})
     return {
         "format_version": FORMAT_VERSION,
@@ -508,17 +515,6 @@ def to_json(ensemble: Ensemble) -> dict:
         "feature_layout": list(ensemble.feature_layout),
         "trees": trees,
     }
-
-
-# JSON types of a model document's parts.  A bundle written by `train` adds
-# the encoder, schema, target mode and bins; a bare ensemble has none of them.
-_LEAF = {"weight": float}
-_SPLIT = {"feature": int, "threshold": float, "left": int, "right": int}
-_TREE = {"root": int, "nodes": list}
-_ENSEMBLE = {"format_version": Literal[FORMAT_VERSION], "kind": Literal["ensemble"],
-             "base_score": float, "learning_rate": float, "feature_layout": tuple[str, ...],
-             "trees": list}
-_BUNDLE = {"pipeline": dict, "schema": list, "target_mode": str, "bins": dict | None}
 
 
 def _require(condition: bool, location: str, message: str) -> None:

@@ -24,7 +24,7 @@ from .errors import (
     RowArity,
     UnknownColumn,
 )
-from .jsondoc import from_doc, read_json
+from .jsondoc import from_doc, read_json, to_doc
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -215,12 +215,13 @@ def load_csv(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = 
 
 
 def write_csv(table: DataTable, path) -> None:
-    """Write a DataTable back to CSV; missing cells become empty fields."""
+    """Write a DataTable back to CSV.  ``csv.writer`` writes a missing cell
+    as an empty field and a number as its ``str``, for a float the shortest
+    text that ``load_csv`` reads back to the same value."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(table.column_names)
-        for row in table.rows:
-            writer.writerow(["" if v is None else (repr(v) if isinstance(v, float) else v) for v in row])
+        writer.writerows(table.rows)
 
 
 def column_stats(table: DataTable, name: str) -> ColumnStats:
@@ -259,7 +260,7 @@ def split_train_test(table: DataTable, train_fraction: float = 0.8, seed: int = 
 
 
 def schema_to_json(schema: Sequence[ColumnSchema]) -> list[dict]:
-    return [{"name": c.name, "kind": c.kind, "role": c.role} for c in schema]
+    return to_doc(tuple(schema))
 
 
 def schema_from_json(doc) -> tuple[ColumnSchema, ...]:

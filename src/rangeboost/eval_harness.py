@@ -138,7 +138,7 @@ def default_missing_rates() -> dict:
     }
 
 
-# Largest synthetic catalog; a larger one would exhaust memory or numpy's array limits.
+# Largest synthetic catalog and brand count; a larger one would exhaust memory or numpy's array limits.
 MAX_PRODUCTS = 10_000_000
 
 
@@ -156,12 +156,15 @@ class SyntheticSpec:
             raise InvalidSpec(f"n_products must be in [10, {MAX_PRODUCTS:,}], got {self.n_products}")
         if not self.categories:
             raise InvalidSpec("at least one category is required")
-        if self.brand_count < 1:
-            raise InvalidSpec(f"brand_count must be >= 1, got {self.brand_count}")
+        if not 1 <= self.brand_count <= MAX_PRODUCTS:  # every brand is built before any row
+            raise InvalidSpec(f"brand_count must be in [1, {MAX_PRODUCTS:,}], got {self.brand_count}")
         if self.noise_scale < 0:
             raise InvalidSpec(f"noise_scale must be >= 0, got {self.noise_scale}")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
+        unknown = self.missing_rates.keys() - {c.name for c in default_schema()}
+        if unknown:
+            raise InvalidSpec(f"missing rates name columns not in the schema: {sorted(unknown)}")
         for name, rate in self.missing_rates.items():
             if not 0.0 <= rate <= 1.0:
                 raise InvalidSpec(f"missing rate for {name!r} must be in [0, 1], got {rate}")

@@ -24,10 +24,9 @@ from .data_model import (
     ColumnSchema,
     DataTable,
     schema_from_json,
-    schema_to_json,
 )
 from .errors import EmptyTrain, InvalidConfig, SchemaMismatch
-from .jsondoc import check_doc, from_doc
+from .jsondoc import check_doc, from_doc, to_doc
 
 UNKNOWN_TOKEN = "unknown"
 COMPOSITE_TOKEN = "composite"
@@ -206,12 +205,14 @@ def _numeric_features(schema: Sequence[ColumnSchema]) -> list[ColumnSchema]:
 def _resolve_categoricals(table: DataTable, plan: ImputationPlan, lexicon: ColorLexicon) -> dict:
     """Apply cross-fill and colour normalization, returning per-column value
     lists where ``None`` marks a category that stays unencodable."""
+    # Each read once: a cross-fill partner may be any categorical column.
+    columns = {c.name: table.column(c.name) for c in table.schema if c.kind == CATEGORICAL}
     resolved: dict[str, list] = {}
     for col in _categorical_features(table.schema):
         strat = plan.strategies[col.name]
-        raw = table.column(col.name)
+        raw = columns[col.name]
         if isinstance(strat, CrossFill):
-            partner = table.column(strat.partner) if strat.partner else [None] * table.n
+            partner = columns[strat.partner] if strat.partner else [None] * table.n
             values = []
             for own, other in zip(raw, partner):
                 if own is not None:
@@ -349,15 +350,10 @@ def transform(table: DataTable, state: EncoderState) -> tuple[np.ndarray, np.nda
 
 
 def plan_to_json(plan: ImputationPlan) -> dict:
-    doc = {}
-    for name, strat in plan.strategies.items():
-        entry: dict = {"strategy": _STRATEGY_NAMES[type(strat)]}
-        if isinstance(strat, CrossFill):
-            entry["partner"] = strat.partner
-        if isinstance(strat, HierarchicalMean):
-            entry["tiers"] = [list(t) for t in strat.tiers]
-        doc[name] = entry
-    return doc
+    return {
+        name: {"strategy": _STRATEGY_NAMES[type(strat)], **to_doc(strat)}
+        for name, strat in plan.strategies.items()
+    }
 
 
 def plan_from_json(doc) -> ImputationPlan:
@@ -379,11 +375,7 @@ def plan_from_json(doc) -> ImputationPlan:
 
 
 def lexicon_to_json(lexicon: ColorLexicon) -> dict:
-    return {
-        "base_colors": sorted(lexicon.base_colors),
-        "modifier_tokens": sorted(lexicon.modifier_tokens),
-        "multi_color_delimiters": list(lexicon.multi_color_delimiters),
-    }
+    return to_doc(lexicon)
 
 
 def lexicon_from_json(doc) -> ColorLexicon:
@@ -391,20 +383,13 @@ def lexicon_from_json(doc) -> ColorLexicon:
 
 
 def state_to_json(state: EncoderState) -> dict:
-    return {
-        "schema": schema_to_json(state.schema),
-        "plan": plan_to_json(state.plan),
-        "lexicon": lexicon_to_json(state.lexicon),
-        "vocabularies": {k: list(v) for k, v in state.vocabularies.items()},
-        "group_means": {
-            col: [
-                {"means": sorted([list(k), m] for k, m in tier.items())}
-                for tier in tiers
-            ]
-            for col, tiers in state.group_means.items()
-        },
-        "layout": list(state.layout),
+    """The state's fields in declaration order; the plan and the tuple-keyed
+    group means, as sorted [key, mean] pairs, have forms of their own."""
+    group_means = {
+        col: [{"means": sorted([list(k), m] for k, m in tier.items())} for tier in tiers]
+        for col, tiers in state.group_means.items()
     }
+    return {**to_doc(state), "plan": plan_to_json(state.plan), "group_means": group_means}
 
 
 # JSON types of an encoder state document (every key required) and of one

@@ -1,9 +1,11 @@
-"""Reading JSON files and checking JSON objects against declared types.
+"""Reading and writing JSON documents against declared types.
 
 Every JSON document the package reads (experiment, train config, synthetic
 spec, schema, model) goes through ``read_json`` and, part by part, through
 ``check_doc``, ``from_doc`` or ``check_value``.  Each takes the caller's
 error class, so a failure maps to the exit code of the file it came from.
+Writers build their documents with ``to_doc``, the inverse of ``from_doc``,
+so a format's keys are declared once, by the dataclass both sides use.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numbers
 import sys
 import types
 import typing
-from dataclasses import MISSING
+from dataclasses import MISSING, is_dataclass
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -88,3 +90,17 @@ def from_doc(cls, doc, error: type[Exception], what: str):
     names; the field annotations are the types ``check_doc`` checks."""
     required = {f.name for f in dataclass_fields(cls) if f.default is f.default_factory is MISSING}
     return cls(**check_doc(doc, typing.get_type_hints(cls), error, what, required))
+
+
+def to_doc(value):
+    """The JSON value ``from_doc`` reads back as ``value``: a dataclass is an
+    object of its fields in declaration order, tuples and lists are arrays,
+    frozensets sorted arrays, dicts keep their keys, anything else is itself."""
+    if is_dataclass(value):
+        return {f.name: to_doc(getattr(value, f.name)) for f in dataclass_fields(value)}
+    if isinstance(value, (tuple, list, frozenset)):
+        items = [to_doc(v) for v in value]
+        return sorted(items) if isinstance(value, frozenset) else items
+    if isinstance(value, dict):
+        return {k: to_doc(v) for k, v in value.items()}
+    return value

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import InvalidConfig, NegativeValue
-from .jsondoc import from_doc
+from .errors import InvalidConfig, NegativeValue, NonFiniteInput
+from .jsondoc import from_doc, to_doc
 
 DEFAULT_EDGES = (0.0, 50.0, 100.0, 300.0, 500.0, 1000.0, 3000.0, 5000.0, 10000.0)
 DEFAULT_LABELS = (
@@ -65,27 +66,30 @@ def default_bins() -> BinSpec:
 
 def bin_of(value: float, spec: BinSpec | None = None) -> int:
     """Ordinal index of the range containing ``value``; values at or above
-    the top edge clamp to the last bin."""
+    the top edge, +inf too, clamp to the last bin, and NaN raises."""
     spec = spec or default_bins()
     if value < 0:
         raise NegativeValue(f"sales volume must be non-negative, got {value}")
+    if math.isnan(value):  # compares false to every edge, so bisect would put it last
+        raise NonFiniteInput(f"sales volume must be a number, got {value}")
     i = bisect_right(spec.edges, value) - 1
     return min(i, spec.n_bins - 1)
 
 
 def apply_binning(targets: Sequence[float], spec: BinSpec | None = None) -> list[int]:
-    """Element-wise bin_of over a target sequence."""
+    """Element-wise bin_of over a target sequence; an error names the index."""
     spec = spec or default_bins()
     out = []
     for i, v in enumerate(targets):
-        if v < 0:
-            raise NegativeValue(f"negative sales volume {v} at index {i}")
-        out.append(bin_of(v, spec))
+        try:
+            out.append(bin_of(v, spec))
+        except (NegativeValue, NonFiniteInput) as exc:
+            raise type(exc)(f"{exc} at index {i}") from None
     return out
 
 
 def bins_to_json(spec: BinSpec) -> dict:
-    return {"edges": list(spec.edges), "labels": list(spec.labels)}
+    return to_doc(spec)
 
 
 def bins_from_json(doc) -> BinSpec:

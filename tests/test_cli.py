@@ -1,11 +1,15 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangeboost import boosted_trees, cli, eval_harness
 from rangeboost.cli import main
 from rangeboost.data_model import default_schema, load_csv, save_schema
+from rangeboost.eval_harness import experiment_from_json
 from rangeboost.feature_pipeline import ColorLexicon, default_plan, lexicon_to_json, plan_to_json
 from rangeboost.range_binning import bins_to_json, default_bins
 
@@ -238,6 +242,13 @@ MALFORMED_INPUTS = {
     "max-depth-bool": ("train", "--config", {"model": {"max_depth": True}}, 2),
     "categories-number": ("synth", "--spec", {"categories": 3}, 2),
     "synth-n-products-over-limit": ("synth", "--spec", {"n_products": 10**31}, 2),
+    "synth-missing-rate-unknown-column": (
+        "synth",
+        "--spec",
+        {"n_products": 50, "missing_rates": {"Prize": 0.9}},
+        2,
+    ),
+    "synth-brand-count-over-limit": ("synth", "--spec", {"brand_count": 10**10}, 2),
     "model-plan-entry-not-object": (
         "predict",
         "--model",
@@ -319,9 +330,17 @@ def trained(tmp_path_factory):
     return data, model
 
 
+def _no_catalog(spec=None):
+    raise AssertionError("a malformed input reached the synthetic catalog generator")
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
-def test_malformed_input_exits_with_its_code(case, trained, tmp_path, capsys):
+def test_malformed_input_exits_with_its_code(case, trained, tmp_path, capsys, monkeypatch):
     command, option, content, expected = MALFORMED_INPUTS[case]
+    # Each is rejected while its spec is read, so a spec too large to build
+    # is never built.
+    monkeypatch.setattr(cli, "generate_synthetic", _no_catalog)
+    monkeypatch.setattr(eval_harness, "generate_synthetic", _no_catalog)
     data, model = trained
     if callable(content):
         document = json.loads(model.read_text(encoding="utf-8"))
@@ -428,3 +447,19 @@ def test_mutated_document_never_raises(kind, trained, data):
         "experiment": ["compare", "--experiment", fuzzed, "--out", root / "fuzzed-report.json"],
     }[kind]
     assert main([str(part) for part in argv]) in (0, 2, 3, 4)
+
+
+def test_readme_json_examples_load():
+    """Every JSON example in README is accepted by the reader of its file:
+    the model file's by from_json, the experiment file's by
+    experiment_from_json."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    docs = [json.loads(block) for block in blocks]
+    models = [doc for doc in docs if "format_version" in doc]
+    experiments = [doc for doc in docs if "format_version" not in doc]
+    assert models and experiments
+    for doc in models:
+        boosted_trees.from_json(doc)
+    for doc in experiments:
+        experiment_from_json(doc)

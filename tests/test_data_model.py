@@ -236,6 +236,16 @@ def test_csv_round_trip(tmp_path):
     assert reloaded == table
 
 
+def test_csv_round_trip_of_numpy_floats(tmp_path):
+    """A numpy float is a float to DataTable, and write_csv writes its
+    shortest round-trip text, not its repr."""
+    schema = (ColumnSchema("x", NUMERIC), ColumnSchema("y", NUMERIC, TARGET))
+    rows = ((np.float64(0.1), 1.0), (np.float64(1e300), np.float64(0.1) + np.float64(0.2)), (None, np.float64(-3)))
+    path = tmp_path / "numpy.csv"
+    write_csv(DataTable(schema, rows), path)
+    assert load_csv(path, schema).rows == ((0.1, 1.0), (1e300, 0.1 + 0.2), (None, -3.0))
+
+
 def test_schema_validation():
     with pytest.raises(InvalidConfig):
         schema_from_json([{"name": "a", "kind": NUMERIC}])  # no target

@@ -257,6 +257,23 @@ def test_each_distinct_colour_normalized_once(monkeypatch):
     assert np.array_equal(matrix[:, block], expected)
 
 
+def test_transform_reads_each_column_once(monkeypatch):
+    """A cross-fill partner is taken from its own column's read, so a
+    default-plan transform builds each of the ten columns once."""
+    table = _product_table([_row(), _row(brand=None), _row(manufacturer=None, price=None)])
+    state = fit_pipeline(table)
+    calls = Counter()
+    column = DataTable.column
+
+    def counted(self, name):
+        calls[name] += 1
+        return column(self, name)
+
+    monkeypatch.setattr(DataTable, "column", counted)
+    transform(table, state)
+    assert calls == Counter(table.column_names)
+
+
 def test_fit_transform_deterministic():
     rows = [_row(price=float(i), sales=float(i * 10)) for i in range(25)]
     table = _product_table(rows)

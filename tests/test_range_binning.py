@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangeboost.errors import InvalidConfig, NegativeValue
+from rangeboost.errors import InvalidConfig, NegativeValue, NonFiniteInput
 from rangeboost.range_binning import (
     BinSpec,
     apply_binning,
@@ -59,6 +59,16 @@ def test_apply_binning():
     assert apply_binning([]) == []
     with pytest.raises(NegativeValue, match="index 2"):
         apply_binning([1, 2, -3])
+
+
+def test_nan_sales_volume_raises_and_inf_clamps():
+    # NaN compares false to every edge, so it must not fall through to the top bin
+    with pytest.raises(NonFiniteInput):
+        bin_of(float("nan"))
+    with pytest.raises(NonFiniteInput, match="index 1"):
+        apply_binning([5.0, float("nan")])
+    assert bin_of(float("inf")) == 7
+    assert apply_binning([float("inf"), 5.0]) == [7, 0]
 
 
 def test_bin_of_monotone_on_sweep():
