@@ -63,6 +63,8 @@ def _check_schema(schema: Sequence[ColumnSchema]) -> tuple[ColumnSchema, ...]:
     targets = [c for c in cols if c.role == TARGET]
     if len(targets) != 1:
         raise InvalidConfig(f"schema must have exactly one target column, found {len(targets)}")
+    if targets[0].kind != NUMERIC:
+        raise InvalidConfig(f"target column {targets[0].name!r} must be numeric")
     return cols
 
 

@@ -247,17 +247,18 @@ def generate_synthetic(spec: SyntheticSpec | None = None) -> DataTable:
 # Experiment runner
 # ---------------------------------------------------------------------------
 
-MODEL_KINDS = ("boosted_trees", "gbdt", "ols", "bayes_ridge", "linear_svr")
-
-# What each kind reads its roster "config" object into: a config dataclass,
-# or (for the two closed-form linear fits) keyword arguments and their types.
-_MODEL_CONFIGS = {
-    "boosted_trees": TrainConfig,
-    "gbdt": GbdtBaselineConfig,
-    "ols": {},
-    "bayes_ridge": {"alpha": float},
-    "linear_svr": SvrConfig,
+# Each roster kind: what its "config" object is read into (a config
+# dataclass, or, for the two closed-form linear fits, keyword arguments and
+# their types) and its fit on (x, y, settings, layout), which looks the
+# fitting function up when called.
+_MODELS = {
+    "boosted_trees": (TrainConfig, lambda x, y, c, layout: train(x, y, c, feature_names=layout)),
+    "gbdt": (GbdtBaselineConfig, lambda x, y, c, layout: fit_gbdt_first_order(x, y, c)),
+    "ols": ({}, lambda x, y, c, layout: fit_ols(x, y, **c)),
+    "bayes_ridge": ({"alpha": float}, lambda x, y, c, layout: fit_bayes_ridge(x, y, **c)),
+    "linear_svr": (SvrConfig, lambda x, y, c, layout: fit_linear_svr(x, y, c)),
 }
+MODEL_KINDS = tuple(_MODELS)
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise InvalidConfig(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
-        target, what = _MODEL_CONFIGS[self.kind], f"{self.kind} config"
+        target, what = _MODELS[self.kind][0], f"{self.kind} config"
         if isinstance(target, dict):
             settings = check_doc(self.config, target, InvalidConfig, what)
             if settings.get("alpha", 1.0) <= 0:
@@ -323,15 +324,8 @@ class ExperimentConfig:
 
 
 def _fit_and_predict(model: ModelSpec, x_train, y_train, x_test, layout):
-    if model.kind == "boosted_trees":
-        return train(x_train, y_train, model.settings, feature_names=layout).predict(x_test)
-    if model.kind == "gbdt":
-        return fit_gbdt_first_order(x_train, y_train, model.settings).predict(x_test)
-    if model.kind == "ols":
-        return fit_ols(x_train, y_train, **model.settings).predict(x_test)
-    if model.kind == "bayes_ridge":
-        return fit_bayes_ridge(x_train, y_train, **model.settings).predict(x_test)
-    return fit_linear_svr(x_train, y_train, model.settings).predict(x_test)
+    fit = _MODELS[model.kind][1]
+    return fit(x_train, y_train, model.settings, layout).predict(x_test)
 
 
 def run_experiment(config: ExperimentConfig, n_jobs: int = 1) -> list[MetricsRow]:
@@ -387,6 +381,12 @@ def run_experiment(config: ExperimentConfig, n_jobs: int = 1) -> list[MetricsRow
 
 REPORT_FORMATS = ("table", "csv", "json")
 
+# Each report column: its header and the MetricsRow field it holds.  The
+# text table shows the first four; JSON keys are the lowercased headers.
+_REPORT_COLUMNS = (
+    ("Model", "model_name"), ("MSE", "mse"), ("RMSE", "rmse"), ("MAE", "mae"), ("Error", "error")
+)
+
 
 def _format_metric(value: float | None) -> str:
     if value is None or not math.isfinite(value):
@@ -400,57 +400,25 @@ def render_report(rows: Sequence[MetricsRow], fmt: str = "table") -> str:
     """Render rows as an aligned text table, CSV, or JSON.
 
     The text table uses two fraction digits and switches to scientific
-    notation at 1e6; CSV and JSON keep full precision.
+    notation at 1e6; CSV and JSON keep full precision, and CSV leaves a
+    missing value empty.
     """
     if not rows:
         raise EmptyData("report has no rows")
+    headers = [header for header, _ in _REPORT_COLUMNS]
+    cells = [[getattr(row, name) for _, name in _REPORT_COLUMNS] for row in rows]
     if fmt == "table":
-        header = ("Model", "MSE", "RMSE", "MAE")
-        body = [
-            (
-                row.model_name,
-                _format_metric(row.mse),
-                _format_metric(row.rmse),
-                _format_metric(row.mae),
-            )
-            for row in rows
-        ]
-        widths = [
-            max(len(header[j]), *(len(line[j]) for line in body)) for j in range(4)
-        ]
-        lines = ["  ".join(h.ljust(widths[j]) for j, h in enumerate(header)).rstrip()]
-        for line in body:
-            lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(line)).rstrip())
-        return "\n".join(lines) + "\n"
+        lines = [headers[:4]] + [[name, *map(_format_metric, metrics)] for name, *metrics, _ in cells]
+        widths = [max(len(line[j]) for line in lines) for j in range(4)]
+        text = ("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in lines)
+        return "\n".join(text) + "\n"
     if fmt == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["Model", "MSE", "RMSE", "MAE", "Error"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.model_name,
-                    "" if row.mse is None else repr(row.mse),
-                    "" if row.rmse is None else repr(row.rmse),
-                    "" if row.mae is None else repr(row.mae),
-                    row.error or "",
-                ]
-            )
+        csv.writer(buffer).writerows([headers, *cells])
         return buffer.getvalue()
     if fmt == "json":
-        doc = {
-            "rows": [
-                {
-                    "model": row.model_name,
-                    "mse": row.mse,
-                    "rmse": row.rmse,
-                    "mae": row.mae,
-                    "error": row.error,
-                }
-                for row in rows
-            ]
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        keys = [header.lower() for header in headers]
+        return json.dumps({"rows": [dict(zip(keys, line)) for line in cells]}, indent=2) + "\n"
     raise InvalidConfig(f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}")
 
 

@@ -159,8 +159,7 @@ def _validate_plan(plan: ImputationPlan, schema: Sequence[ColumnSchema]) -> None
         if col.role == TARGET and not isinstance(strat, ZeroFill):
             raise InvalidConfig("the target column must use the zero-fill strategy")
         if isinstance(strat, (ZeroFill, HierarchicalMean)) and col.kind != NUMERIC:
-            if col.role != TARGET:
-                raise InvalidConfig(f"{col.name!r}: numeric strategy on a categorical column")
+            raise InvalidConfig(f"{col.name!r}: numeric strategy on a categorical column")
         if isinstance(strat, (CrossFill, ColorNormalize)) and col.kind != CATEGORICAL:
             raise InvalidConfig(f"{col.name!r}: categorical strategy on a numeric column")
         if isinstance(strat, CrossFill) and strat.partner is not None:
@@ -291,23 +290,14 @@ def _layout(schema: Sequence[ColumnSchema], vocabularies: dict) -> tuple[str, ..
     return tuple(layout)
 
 
-def _one_hot(categories: Sequence[str | None], vocab: Sequence[str]) -> np.ndarray:
-    """Indicator block, one row per category and one column per vocabulary
-    entry; a missing or unseen category gives an all-zero row."""
-    index = {v: j for j, v in enumerate(vocab)}
-    codes = np.fromiter((index.get(v, -1) for v in categories), dtype=np.intp, count=len(categories))
-    block = np.zeros((len(categories), len(vocab)), dtype=np.float64)
-    seen = np.flatnonzero(codes >= 0)
-    block[seen, codes[seen]] = 1.0
-    return block
-
-
 def transform(table: DataTable, state: EncoderState) -> tuple[np.ndarray, np.ndarray]:
     """Encode a table into a dense feature matrix and a target vector.
 
-    The output contains no missing and no non-finite values: numeric gaps are
-    filled per the plan, and categories that are missing or unseen at fit time
-    one-hot to an all-zero indicator block.
+    The matrix's columns follow ``state.layout``: each numeric feature, then
+    one indicator per vocabulary entry of each categorical feature.  It holds
+    no missing and no non-finite values: numeric gaps are filled per the
+    plan, and a category missing or unseen at fit time leaves its feature's
+    indicators all zero.
     """
     if table.schema != state.schema:
         raise SchemaMismatch(
@@ -315,9 +305,10 @@ def transform(table: DataTable, state: EncoderState) -> tuple[np.ndarray, np.nda
         )
     n = table.n
     resolved = _resolve_categoricals(table, state.plan, state.lexicon)
+    matrix = np.zeros((n, len(state.layout)), dtype=np.float64)
 
-    blocks: list[np.ndarray] = []
-    for col in _numeric_features(table.schema):
+    numeric = _numeric_features(table.schema)
+    for j, col in enumerate(numeric):
         strat = state.plan.strategies[col.name]
         values = table.column(col.name)
         if isinstance(strat, ZeroFill):
@@ -335,15 +326,17 @@ def transform(table: DataTable, state: EncoderState) -> tuple[np.ndarray, np.nda
                 pending = unseen
             for i in pending:
                 filled[i] = 0.0
-        blocks.append(np.asarray(filled, dtype=np.float64).reshape(n, 1))
+        matrix[:, j] = filled
 
+    offset = len(numeric)
     for col in _categorical_features(table.schema):
-        blocks.append(_one_hot(resolved[col.name], state.vocabularies[col.name]))
+        vocab = state.vocabularies[col.name]
+        index = {v: offset + j for j, v in enumerate(vocab)}
+        codes = np.fromiter((index.get(v, -1) for v in resolved[col.name]), dtype=np.intp, count=n)
+        seen = np.flatnonzero(codes >= 0)
+        matrix[seen, codes[seen]] = 1.0
+        offset += len(vocab)
 
-    if blocks:
-        matrix = np.concatenate(blocks, axis=1)
-    else:
-        matrix = np.empty((n, 0), dtype=np.float64)
     target_values = table.column(table.target_schema().name)
     target = np.asarray([0.0 if v is None else v for v in target_values], dtype=np.float64)
     return matrix, target

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rangeboost import boosted_trees, cli, eval_harness
 from rangeboost.cli import main
-from rangeboost.data_model import default_schema, load_csv, save_schema
+from rangeboost.data_model import default_schema, load_csv, save_schema, schema_to_json
 from rangeboost.eval_harness import experiment_from_json
 from rangeboost.feature_pipeline import ColorLexicon, default_plan, lexicon_to_json, plan_to_json
 from rangeboost.range_binning import bins_to_json, default_bins
@@ -177,6 +177,15 @@ def test_exit_code_4_on_model_errors(tmp_path, synth_csv):
 
 NOT_UTF8 = b'{"seed": "\xff"}'
 TINY_EXPERIMENT = {"dataset": {"synthetic": {"n_products": 60, "seed": 5}}}
+CATEGORICAL_TARGET = [
+    {**column, "kind": "categorical"} if column["role"] == "target" else column
+    for column in schema_to_json(default_schema())
+]
+
+
+def _categorical_target(document):
+    for schema in (document["schema"], document["pipeline"]["schema"]):
+        schema[:] = CATEGORICAL_TARGET
 
 
 # case -> (subcommand, option, file content, expected exit code).  Content is
@@ -223,6 +232,14 @@ MALFORMED_INPUTS = {
         {**TINY_EXPERIMENT, "pipeline": {"plan": {"Price": 1}}},
         2,
     ),
+    "train-schema-categorical-target": ("train", "--schema", CATEGORICAL_TARGET, 2),
+    "experiment-schema-categorical-target": (
+        "compare",
+        "--experiment",
+        {"dataset": {"csv": "data.csv", "schema": "categorical-target.json"}},
+        2,
+    ),
+    "model-schema-categorical-target": ("predict", "--model", _categorical_target, 4),
     "bins-edges-string": ("train", "--config", {"bins": {"edges": "ab"}}, 2),
     "bins-first-edge-above-zero": ("train", "--config", {"bins": {"edges": [10, 20, 30]}}, 2),
     "experiment-bins-first-edge-above-zero": (
@@ -327,6 +344,7 @@ def trained(tmp_path_factory):
     model = root / "model.json"
     assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
     assert main(["train", "--data", str(data), "--config", str(config), "--model-out", str(model)]) == 0
+    (root / "categorical-target.json").write_text(json.dumps(CATEGORICAL_TARGET), encoding="utf-8")
     return data, model
 
 
@@ -342,6 +360,7 @@ def test_malformed_input_exits_with_its_code(case, trained, tmp_path, capsys, mo
     monkeypatch.setattr(cli, "generate_synthetic", _no_catalog)
     monkeypatch.setattr(eval_harness, "generate_synthetic", _no_catalog)
     data, model = trained
+    monkeypatch.chdir(data.parent)  # experiments name the trained files relative to it
     if callable(content):
         document = json.loads(model.read_text(encoding="utf-8"))
         content(document)

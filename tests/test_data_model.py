@@ -262,6 +262,17 @@ def test_schema_validation():
         ColumnSchema("a", "integer")
 
 
+def test_schema_target_must_be_numeric():
+    """The target is regressed on and binned, so a categorical one is a
+    config error naming the column, wherever a schema is checked."""
+    schema = (ColumnSchema("Size", CATEGORICAL), ColumnSchema("Sales", CATEGORICAL, TARGET))
+    with pytest.raises(InvalidConfig, match="'Sales'"):
+        schema_from_json(schema_to_json(schema))
+    with pytest.raises(InvalidConfig, match="'Sales'"):
+        DataTable(schema, ())
+    assert ColumnSchema("Size", CATEGORICAL, TARGET).role == TARGET  # one column is not a schema
+
+
 def test_schema_json_round_trip(tmp_path):
     schema = default_schema()
     path = tmp_path / "schema.json"

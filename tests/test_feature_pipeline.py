@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,8 +14,10 @@ from rangeboost.data_model import (
     default_schema,
 )
 from rangeboost.errors import EmptyTrain, InvalidConfig, SchemaMismatch
+from rangeboost.eval_harness import SyntheticSpec, generate_synthetic
 from rangeboost.feature_pipeline import (
     ColorLexicon,
+    ColorNormalize,
     CrossFill,
     HierarchicalMean,
     ImputationPlan,
@@ -272,6 +275,62 @@ def test_transform_reads_each_column_once(monkeypatch):
     monkeypatch.setattr(DataTable, "column", counted)
     transform(table, state)
     assert calls == Counter(table.column_names)
+
+
+def test_transform_holds_one_matrix():
+    """Every column is written into the one result: the peak memory of a
+    transform stays within 1.5 times the matrix (a copy of it would be 2)."""
+    table = generate_synthetic(SyntheticSpec(n_products=2000, seed=3))
+    state = fit_pipeline(table)
+    tracemalloc.start()
+    try:
+        matrix, _ = transform(table, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.flags.c_contiguous and matrix.dtype == np.float64
+    assert matrix.shape == (2000, len(state.layout))
+    assert peak <= 1.5 * matrix.nbytes
+
+
+def _encode(schema, plan, train_rows, rows):
+    state = fit_pipeline(DataTable(schema, train_rows), plan=ImputationPlan(plan))
+    matrix, target = transform(DataTable(schema, rows), state)
+    assert matrix.flags.c_contiguous and matrix.dtype == np.float64
+    assert matrix.shape == (len(rows), len(state.layout))
+    return state.layout, matrix.tolist(), target.tolist()
+
+
+def test_transform_without_numeric_features():
+    schema = (
+        ColumnSchema("Colour", CATEGORICAL),
+        ColumnSchema("Brand", CATEGORICAL),
+        ColumnSchema("Sales", NUMERIC, TARGET),
+    )
+    plan = {"Colour": ColorNormalize(), "Brand": CrossFill(), "Sales": ZeroFill()}
+    train_rows = (("grey", "acme", 10.0), ("black/red", None, None), (None, "zeta", 3.0))
+    rows = train_rows + (("teal", "newco", 1.0),)
+    assert _encode(schema, plan, train_rows, rows) == (
+        ("Colour=composite", "Colour=grey", "Brand=acme", "Brand=unknown", "Brand=zeta"),
+        [[0.0, 1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0],
+         [0.0, 0.0, 0.0, 0.0, 0.0]],
+        [10.0, 0.0, 3.0, 1.0],
+    )
+
+
+def test_transform_without_categorical_features():
+    schema = (
+        ColumnSchema("Price", NUMERIC),
+        ColumnSchema("Rating", NUMERIC),
+        ColumnSchema("Sales", NUMERIC, TARGET),
+    )
+    plan = {"Price": HierarchicalMean(tiers=((),)), "Rating": ZeroFill(), "Sales": ZeroFill()}
+    rows = ((2.0, None, 5.0), (None, 4.5, None), (4.0, 3.0, 1.0))
+    assert _encode(schema, plan, rows, rows) == (
+        ("Price", "Rating"),
+        [[2.0, 0.0], [3.0, 4.5], [4.0, 3.0]],
+        [5.0, 0.0, 1.0],
+    )
 
 
 def test_fit_transform_deterministic():
