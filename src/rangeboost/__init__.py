@@ -26,10 +26,8 @@ from .boosted_trees import (
 )
 from .data_model import (
     ColumnSchema,
-    ColumnStats,
     DataTable,
     SplitIndices,
-    column_stats,
     default_schema,
     load_csv,
     split_train_test,

@@ -108,14 +108,13 @@ class SvrConfig:
     """Linear epsilon-insensitive SVR trained by full-batch subgradient
     descent.  The step at epoch t is step_size / (1 + step_decay * t),
     applied to the mean subgradient; full-batch updates make the fit
-    deterministic, the seed is carried for config-file compatibility."""
+    deterministic."""
 
     epsilon: float = 0.1
     c: float = 1.0
     step_size: float = 1e-5
     step_decay: float = 0.02
     epochs: int = 300
-    seed: int = 0
 
     def __post_init__(self):
         if self.epsilon < 0:

@@ -15,10 +15,7 @@ collecting gradient sum G and hessian sum H the optimal weight is
 The learner is specialised to that 1/2-scaled squared loss: the hessian is
 exactly 1 per row, so the second-order expansion is exact and the objective
 decreases monotonically round over round for any shrinkage in (0, 1].
-``train`` therefore passes ``hess=None``, a unit hessian, and H over a set
-of rows is its row count, an exact integer in float64.  ``find_best_split``
-and ``grow_tree`` keep their ``hess`` argument but take only ``None`` or an
-all-ones array.
+H over a set of rows is therefore its row count, an exact integer in float64.
 
 Split search is exact greedy over per-node histograms.  ``train`` codes each
 cell once by its rank among its column's distinct values, each column owning a
@@ -91,8 +88,7 @@ def split_gain(
 class TrainConfig:
     """Hyperparameters for the second-order learner.
 
-    ``base_score=None`` means "use the training-target mean".  ``seed`` is
-    carried for config-file compatibility; training itself is deterministic.
+    ``base_score=None`` means "use the training-target mean".
     """
 
     n_trees: int = 200
@@ -102,7 +98,6 @@ class TrainConfig:
     max_depth: int = 6
     min_child_weight: float = 1.0
     base_score: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 0:
@@ -259,31 +254,21 @@ def _histogram(bins: _Bins, rows: np.ndarray, grad: np.ndarray) -> _Histogram:
     return _Histogram(bins, g, np.bincount(codes, minlength=size))
 
 
-def _check_unit_hessian(hess: np.ndarray | None) -> None:
-    """The learner is specialised to a unit hessian: ``hess`` must be
-    ``None`` or all ones."""
-    if hess is not None and not np.all(np.asarray(hess) == 1.0):
-        raise InvalidConfig("hess must be None or all ones: the learner fits squared loss")
-
-
 def find_best_split(
     rows: np.ndarray,
     matrix: np.ndarray,
     grad: np.ndarray,
-    hess: np.ndarray | None,
     config: TrainConfig,
     hist: _Histogram | None = None,
 ) -> Split | None:
     """Exact-greedy scan over every feature and boundary threshold.
 
     ``hist`` is the node's histogram over the rank codes of ``matrix``,
-    built from ``rows`` when omitted.  ``hess`` must be ``None`` or all ones
-    (a unit hessian), so H over a set of rows is its row count.  Candidates
-    are boundaries between adjacent distinct values present at the node,
-    cut by ``_threshold``; a candidate must leave at least min_child_weight
-    of hessian on each side and have strictly positive gain.  Ties on gain
-    resolve to the first maximum in (feature, threshold) order."""
-    _check_unit_hessian(hess)
+    built from ``rows`` when omitted.  Candidates are boundaries between
+    adjacent distinct values present at the node, cut by ``_threshold``; a
+    candidate must leave at least min_child_weight of hessian on each side
+    and have strictly positive gain.  Ties on gain resolve to the first
+    maximum in (feature, threshold) order."""
     bins, g, h = hist if hist is not None else _histogram(_rank_codes(matrix), rows, grad)
     # Running sums over each column's bins in rank order; an empty bin adds
     # 0.0.  G folds within the column, so its last sum is the column's total.
@@ -334,18 +319,15 @@ def grow_tree(
     rows: np.ndarray,
     matrix: np.ndarray,
     grad: np.ndarray,
-    hess: np.ndarray | None,
     config: TrainConfig,
     bins: _Bins | None = None,
 ) -> RegressionTree:
     """Depth-limited growth in pre-order; leaves store shrunken weights.
 
-    ``hess`` is as in ``find_best_split``; ``bins`` are the rank codes of
-    ``matrix``, built when omitted.  Of a split's two children, the one
-    with fewer rows (the left on a tie) gets its histogram built from its
-    rows, the other the parent's minus it; children at ``max_depth`` are
-    leaves and get none."""
-    _check_unit_hessian(hess)
+    ``bins`` are the rank codes of ``matrix``, built when omitted.  Of a
+    split's two children, the one with fewer rows (the left on a tie) gets
+    its histogram built from its rows, the other the parent's minus it;
+    children at ``max_depth`` are leaves and get none."""
     rows = np.asarray(rows)
     if bins is None:
         bins = _rank_codes(matrix)
@@ -359,7 +341,7 @@ def grow_tree(
             nodes[parent] = replace(nodes[parent], right=index)
         split = None
         if depth < config.max_depth:
-            split = find_best_split(node_rows, matrix, grad, None, config, hist)
+            split = find_best_split(node_rows, matrix, grad, config, hist)
         if split is None:
             g_sum = float(np.sum(grad[node_rows]))
             h_sum = float(node_rows.shape[0])
@@ -453,7 +435,7 @@ def train(
     trees: list[RegressionTree] = []
     for _ in range(config.n_trees):
         grad = predictions - targets
-        tree = grow_tree(rows, matrix, grad, None, config, bins)
+        tree = grow_tree(rows, matrix, grad, config, bins)
         trees.append(tree)
         predictions += tree.predict(matrix)
     return Ensemble(

@@ -1,4 +1,4 @@
-"""Column-typed tabular dataset: CSV ingestion, column stats, train/test split.
+"""Column-typed tabular dataset: CSV ingestion and train/test split.
 
 Cells are plain Python values: ``float`` for numeric, ``str`` for categorical,
 ``None`` for missing.  Tables are immutable after construction and safe to
@@ -87,10 +87,6 @@ class DataTable:
         return len(self.rows)
 
     @property
-    def m(self) -> int:
-        return sum(1 for c in self.schema if c.role == FEATURE)
-
-    @property
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.schema)
 
@@ -117,15 +113,6 @@ class SplitIndices:
 
     train_rows: tuple[int, ...]
     test_rows: tuple[int, ...]
-    seed: int
-
-
-@dataclass(frozen=True)
-class ColumnStats:
-    count: int
-    missing_count: int
-    mean: float | None = None
-    distinct_values: frozenset | None = None
 
 
 def default_schema() -> tuple[ColumnSchema, ...]:
@@ -171,14 +158,16 @@ def parse_categorical(text: str) -> str | None:
 def load_csv(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = False) -> DataTable:
     """Read a UTF-8, comma-delimited CSV into a DataTable.
 
-    Column order in the file is free; columns are matched by header name.
-    With ``allow_missing_target`` the target column may be absent from the
-    file (all its cells load as missing), which is what prediction-time
-    inputs look like.
+    Column order in the file is free; columns are matched by header name,
+    and each may appear once.  A leading byte-order mark and blank lines
+    are skipped.  Without ``allow_missing_target`` some row must have a
+    target value; with it the target column may be absent from the file
+    (all its cells load as missing), which is what prediction-time inputs
+    look like.
     """
     schema = _check_schema(schema)
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
@@ -189,6 +178,8 @@ def load_csv(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = 
                 raise MissingColumn(f"{path}: file has no header row")
             positions: dict[str, int | None] = {}
             for col in schema:
+                if header.count(col.name) > 1:
+                    raise DataError(f"{path}: column {col.name!r} appears more than once in the header")
                 if col.name in header:
                     positions[col.name] = header.index(col.name)
                 elif col.role == TARGET and allow_missing_target:
@@ -197,6 +188,8 @@ def load_csv(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = 
                     raise MissingColumn(col.name)
             rows = []
             for fields in reader:
+                if not fields:  # a blank line
+                    continue
                 if len(fields) != len(header):
                     raise RowArity(
                         f"line {reader.line_num}: expected {len(header)} fields, got {len(fields)}"
@@ -213,6 +206,9 @@ def load_csv(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = 
                 rows.append(tuple(cells))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"{path}: {exc}") from exc
+    target = next(i for i, col in enumerate(schema) if col.role == TARGET)
+    if rows and not allow_missing_target and all(row[target] is None for row in rows):
+        raise DataError(f"{path}: target column {schema[target].name!r} has no value in any row")
     return DataTable(schema, tuple(rows))
 
 
@@ -224,18 +220,6 @@ def write_csv(table: DataTable, path) -> None:
         writer = csv.writer(handle)
         writer.writerow(table.column_names)
         writer.writerows(table.rows)
-
-
-def column_stats(table: DataTable, name: str) -> ColumnStats:
-    """Per-column summary; the mean skips missing cells."""
-    j = table.column_index(name)
-    col = [row[j] for row in table.rows]
-    missing = sum(1 for v in col if v is None)
-    present = [v for v in col if v is not None]
-    if table.schema[j].kind == NUMERIC:
-        mean = float(np.mean(present)) if present else None
-        return ColumnStats(count=len(col), missing_count=missing, mean=mean)
-    return ColumnStats(count=len(col), missing_count=missing, distinct_values=frozenset(present))
 
 
 def _round_half_up(x: float) -> int:
@@ -257,7 +241,6 @@ def split_train_test(table: DataTable, train_fraction: float = 0.8, seed: int = 
     return SplitIndices(
         train_rows=tuple(int(i) for i in perm[:size]),
         test_rows=tuple(int(i) for i in perm[size:]),
-        seed=seed,
     )
 
 

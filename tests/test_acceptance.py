@@ -76,7 +76,7 @@ def test_criterion_01_split_oracle_equivalence():
         lam = float(rng.uniform(0.0, 5.0))
         gamma = float(rng.uniform(0.0, 2.0))
         config = TrainConfig(reg_lambda=lam, gamma=gamma, min_child_weight=0.0)
-        split = find_best_split(np.arange(n), matrix, grad, hess, config)
+        split = find_best_split(np.arange(n), matrix, grad, config)
         oracle = enumerate_best_split(matrix, np.arange(n), grad, hess, lam, gamma, 0.0)
         if oracle is None:
             assert split is None

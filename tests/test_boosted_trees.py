@@ -82,45 +82,43 @@ def test_split_gain_matches_objective_difference():
         assert split_gain(gl, hl, gr, hr, lam, gamma) == pytest.approx(expected, abs=1e-9)
 
 
-def _gh_for(targets, prediction=0.0):
+def _grad_for(targets, prediction=0.0):
     y = np.asarray(targets, dtype=np.float64)
-    grad = np.full_like(y, prediction) - y
-    hess = np.ones_like(y)
-    return grad, hess
+    return np.full_like(y, prediction) - y
 
 
 def test_find_best_split_step_fixture():
     matrix = np.array([[1.0], [2.0], [3.0], [4.0]])
-    grad, hess = _gh_for([0.0, 0.0, 1.0, 1.0])
+    grad = _grad_for([0.0, 0.0, 1.0, 1.0])
     config = TrainConfig(reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
-    split = find_best_split(np.arange(4), matrix, grad, hess, config)
+    split = find_best_split(np.arange(4), matrix, grad, config)
     assert split.feature == 0
     assert split.threshold == 2.5
     assert split.gain == pytest.approx(0.5)
-    oracle = enumerate_best_split(matrix, np.arange(4), grad, hess, 0.0, 0.0, 0.0)
+    oracle = enumerate_best_split(matrix, np.arange(4), grad, np.ones(4), 0.0, 0.0, 0.0)
     assert (split.feature, split.threshold) == (oracle[1], oracle[2])
     assert split.gain == pytest.approx(oracle[0], abs=1e-9)
 
 
 def test_find_best_split_no_candidates():
     matrix = np.array([[2.0], [2.0], [2.0]])
-    grad, hess = _gh_for([0.0, 1.0, 2.0])
+    grad = _grad_for([0.0, 1.0, 2.0])
     config = TrainConfig(reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
-    assert find_best_split(np.arange(3), matrix, grad, hess, config) is None
+    assert find_best_split(np.arange(3), matrix, grad, config) is None
 
 
 def test_find_best_split_large_gamma_rejects():
     matrix = np.array([[1.0], [2.0], [3.0], [4.0]])
-    grad, hess = _gh_for([0.0, 0.0, 1.0, 1.0])
+    grad = _grad_for([0.0, 0.0, 1.0, 1.0])
     config = TrainConfig(reg_lambda=0.0, gamma=100.0, min_child_weight=0.0)
-    assert find_best_split(np.arange(4), matrix, grad, hess, config) is None
+    assert find_best_split(np.arange(4), matrix, grad, config) is None
 
 
 def test_find_best_split_min_child_weight_skips_thin_sides():
     matrix = np.array([[1.0], [2.0], [3.0], [4.0]])
-    grad, hess = _gh_for([5.0, 0.0, 0.0, 0.0])
+    grad = _grad_for([5.0, 0.0, 0.0, 0.0])
     config = TrainConfig(reg_lambda=0.0, gamma=0.0, min_child_weight=2.0)
-    split = find_best_split(np.arange(4), matrix, grad, hess, config)
+    split = find_best_split(np.arange(4), matrix, grad, config)
     assert split.threshold == 2.5  # 1.5 and 3.5 would leave a child below weight 2
 
 
@@ -128,13 +126,13 @@ def test_find_best_split_tie_breaks():
     # duplicated feature column: gains identical, lower feature index wins
     column = np.array([1.0, 2.0, 3.0, 4.0])
     matrix = np.column_stack([column, column])
-    grad, hess = _gh_for([0.0, 0.0, 1.0, 1.0])
+    grad = _grad_for([0.0, 0.0, 1.0, 1.0])
     config = TrainConfig(reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
-    split = find_best_split(np.arange(4), matrix, grad, hess, config)
+    split = find_best_split(np.arange(4), matrix, grad, config)
     assert split.feature == 0
     # symmetric targets: thresholds 1.5 and 3.5 tie, the lower threshold wins
-    grad, hess = _gh_for([1.0, 0.0, 0.0, 1.0])
-    split = find_best_split(np.arange(4), matrix[:, :1], grad, hess, config)
+    grad = _grad_for([1.0, 0.0, 0.0, 1.0])
+    split = find_best_split(np.arange(4), matrix[:, :1], grad, config)
     assert split.threshold == 1.5
 
 
@@ -149,26 +147,13 @@ def test_find_best_split_matches_oracle_randomized():
         lam = float(rng.uniform(0, 5))
         gamma = float(rng.uniform(0, 2))
         config = TrainConfig(reg_lambda=lam, gamma=gamma, min_child_weight=0.0)
-        split = find_best_split(np.arange(n), matrix, grad, hess, config)
-        # None is the same unit hessian: the same split, gain to the bit.
-        assert find_best_split(np.arange(n), matrix, grad, None, config) == split
+        split = find_best_split(np.arange(n), matrix, grad, config)
         oracle = enumerate_best_split(matrix, np.arange(n), grad, hess, lam, gamma, 0.0)
         if oracle is None:
             assert split is None
         else:
             assert (split.feature, split.threshold) == (oracle[1], oracle[2])
             assert split.gain == pytest.approx(oracle[0], abs=1e-9)
-
-
-def test_split_search_takes_only_a_unit_hessian():
-    matrix = np.array([[1.0], [2.0], [3.0], [4.0]])
-    grad, hess = _gh_for([0.0, 0.0, 1.0, 1.0])
-    config = TrainConfig(reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
-    hess[2] = 2.0
-    with pytest.raises(InvalidConfig, match="hess must be None or all ones"):
-        find_best_split(np.arange(4), matrix, grad, hess, config)
-    with pytest.raises(InvalidConfig, match="hess must be None or all ones"):
-        grow_tree(np.arange(4), matrix, grad, hess, config)
 
 
 # Two rows whose midpoint is not strictly above the lower value: adjacent
@@ -183,9 +168,9 @@ CLOSE_OR_HUGE = {
 def test_find_best_split_threshold_separates_close_or_huge_values(case):
     lo, hi, expected = CLOSE_OR_HUGE[case]
     matrix = np.array([[lo], [hi]])
-    grad, hess = _gh_for([0.0, 1.0])
+    grad = _grad_for([0.0, 1.0])
     config = TrainConfig(reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
-    split = find_best_split(np.arange(2), matrix, grad, hess, config)
+    split = find_best_split(np.arange(2), matrix, grad, config)
     assert split.threshold == expected
     assert lo < split.threshold <= hi
 
@@ -219,9 +204,8 @@ def test_learners_split_close_or_huge_values(case, fit):
 def test_grow_tree_single_row_leaf():
     matrix = np.array([[3.0]])
     grad = np.array([2.0])
-    hess = np.array([1.0])
     config = TrainConfig(learning_rate=0.5, reg_lambda=1.0)
-    tree = grow_tree(np.arange(1), matrix, grad, hess, config)
+    tree = grow_tree(np.arange(1), matrix, grad, config)
     assert len(tree.nodes) == 1
     assert tree.nodes[0].weight == 0.5 * (-2.0 / 2.0)
 
@@ -229,19 +213,19 @@ def test_grow_tree_single_row_leaf():
 def test_grow_tree_interpolates_four_rows_at_depth_two():
     matrix = np.array([[1.0], [2.0], [3.0], [4.0]])
     targets = np.array([1.0, 2.0, 3.0, 4.0])
-    grad, hess = _gh_for(targets)
+    grad = _grad_for(targets)
     config = TrainConfig(
         learning_rate=1.0, reg_lambda=0.0, gamma=0.0, max_depth=2, min_child_weight=0.0
     )
-    tree = grow_tree(np.arange(4), matrix, grad, hess, config)
+    tree = grow_tree(np.arange(4), matrix, grad, config)
     assert np.allclose(tree.predict(matrix), targets)
 
 
 def test_grow_tree_depth_one_bound():
     matrix = np.array([[1.0], [2.0], [3.0], [4.0]])
-    grad, hess = _gh_for([1.0, 2.0, 3.0, 4.0])
+    grad = _grad_for([1.0, 2.0, 3.0, 4.0])
     config = TrainConfig(max_depth=1, reg_lambda=0.0, min_child_weight=0.0)
-    tree = grow_tree(np.arange(4), matrix, grad, hess, config)
+    tree = grow_tree(np.arange(4), matrix, grad, config)
     assert len(tree.nodes) in (1, 3)
     assert sum(1 for node in tree.nodes if not node.is_leaf) <= 1
 
@@ -276,7 +260,7 @@ def test_grow_tree_every_node_matches_oracle(max_depth, monkeypatch):
         distinct = all(np.unique(column).size == n for column in matrix.T)
         hess = np.ones(n)
         config = TrainConfig(reg_lambda=lam, gamma=0.0, max_depth=max_depth, min_child_weight=1.0)
-        tree = grow_tree(np.arange(n), matrix, grad, None, config)
+        tree = grow_tree(np.arange(n), matrix, grad, config)
         stack = [(tree.root, np.arange(n), 0)]
         while stack:
             index, rows, depth = stack.pop()
@@ -306,7 +290,7 @@ def test_find_best_split_gain_bit_exact_on_distinct_values():
         grad = rng.normal(size=n) * 3.0
         lam, gamma = float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 2.0))
         config = TrainConfig(reg_lambda=lam, gamma=gamma, min_child_weight=0.0)
-        split = find_best_split(rows, matrix, grad, None, config)
+        split = find_best_split(rows, matrix, grad, config)
         oracle = enumerate_best_split(matrix, rows, grad, np.ones(n), lam, gamma, 0.0)
         if oracle is None:
             assert split is None
@@ -355,7 +339,7 @@ def test_rank_codes_merge_signed_zeros_and_keep_close_or_huge_values_apart():
     assert bins.values[2:].tolist() == [1.0, above_one, -1.7e308, 1.7e308]
     config = TrainConfig(reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
     signed_zeros = np.array([[-0.0], [0.0]])
-    assert find_best_split(np.arange(2), signed_zeros, np.array([-1.0, 1.0]), None, config) is None
+    assert find_best_split(np.arange(2), signed_zeros, np.array([-1.0, 1.0]), config) is None
 
 
 def test_grow_tree_leaves_no_reference_cycle():
@@ -368,7 +352,7 @@ def test_grow_tree_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        tree = grow_tree(np.arange(200), matrix, grad, np.ones(200), config)
+        tree = grow_tree(np.arange(200), matrix, grad, config)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -566,12 +550,12 @@ def test_objective_value_cases():
 def test_objective_drops_when_positive_gain_split_applied():
     matrix = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
     targets = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
-    grad, hess = _gh_for(targets)
+    grad = _grad_for(targets)
     lam, gamma = 0.5, 0.01
     stump_config = TrainConfig(
         learning_rate=1.0, reg_lambda=lam, gamma=gamma, max_depth=1, min_child_weight=0.0
     )
-    stump = grow_tree(np.arange(5), matrix, grad, hess, stump_config)
+    stump = grow_tree(np.arange(5), matrix, grad, stump_config)
     assert len(stump.nodes) == 3
     leaf_only = RegressionTree(
         nodes=(TreeNode(weight=leaf_weight(float(grad.sum()), 5.0, lam)),)

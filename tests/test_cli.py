@@ -176,6 +176,8 @@ def test_exit_code_4_on_model_errors(tmp_path, synth_csv):
 
 
 NOT_UTF8 = b'{"seed": "\xff"}'
+CSV_HEADER = ",".join(column.name for column in default_schema())
+CSV_ROW = "computer mice,acme,grey,acme,19.99,4.5,120,3,0.2"
 TINY_EXPERIMENT = {"dataset": {"synthetic": {"n_products": 60, "seed": 5}}}
 CATEGORICAL_TARGET = [
     {**column, "kind": "categorical"} if column["role"] == "target" else column
@@ -218,6 +220,12 @@ MALFORMED_INPUTS = {
         {**TINY_EXPERIMENT, "models": [{"kind": "bayes_ridge", "config": {"alpha": 0}}]},
         2,
     ),
+    "roster-svr-seed": (
+        "compare",
+        "--experiment",
+        {**TINY_EXPERIMENT, "models": [{"kind": "linear_svr", "config": {"seed": 1}}]},
+        2,
+    ),
     "roster-gbdt-n-trees-negative": (
         "compare",
         "--experiment",
@@ -256,6 +264,14 @@ MALFORMED_INPUTS = {
     ),
     "lexicon-base-colors-number": ("train", "--config", {"pipeline": {"lexicon": {"base_colors": 3}}}, 2),
     "n-trees-float": ("train", "--config", {"model": {"n_trees": 2.5}}, 2),
+    "train-config-model-seed": ("train", "--config", {"model": {"seed": 1}}, 2),
+    "train-csv-column-twice": (
+        "train",
+        "--data",
+        f"{CSV_HEADER},Price\n{CSV_ROW},150,5.0\n{CSV_ROW},900,6.0\n".encode(),
+        3,
+    ),
+    "train-csv-no-target-value": ("train", "--data", f"{CSV_HEADER}\n{CSV_ROW},\n{CSV_ROW},NA\n".encode(), 3),
     "max-depth-bool": ("train", "--config", {"model": {"max_depth": True}}, 2),
     "categories-number": ("synth", "--spec", {"categories": 3}, 2),
     "synth-n-products-over-limit": ("synth", "--spec", {"n_products": 10**31}, 2),

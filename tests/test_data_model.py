@@ -9,7 +9,6 @@ from rangeboost.data_model import (
     TARGET,
     ColumnSchema,
     DataTable,
-    column_stats,
     default_schema,
     load_csv,
     load_schema,
@@ -21,6 +20,7 @@ from rangeboost.data_model import (
     write_csv,
 )
 from rangeboost.errors import (
+    DataError,
     DegenerateSplit,
     InvalidConfig,
     MissingColumn,
@@ -49,8 +49,35 @@ def test_load_csv_basic(tmp_path):
     )
     table = load_csv(path, default_schema())
     assert table.n == 3
-    assert table.m == 9
     assert table.rows[0][table.column_index("Price")] == 19.99
+
+
+CLEAN_LINES = [
+    HEADER,
+    "computer mice,acme,grey,acme,19.99,4.5,120,3,0.2,150",
+    "air fryers,zest,black,zest,89.0,4.0,50,5,11.0,900",
+]
+
+# How spreadsheet tools write the clean file: a byte-order mark before the
+# header, blank lines between or after the rows.
+SPREADSHEET_TEXT = {
+    "byte-order-mark": "\ufeff" + "\n".join(CLEAN_LINES) + "\n",
+    "blank-lines": "\n".join(CLEAN_LINES[:2] + [""] + CLEAN_LINES[2:]) + "\n\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPREADSHEET_TEXT))
+def test_spreadsheet_csv_loads_as_the_clean_file(case, tmp_path):
+    path = tmp_path / "sheet.csv"
+    path.write_text(SPREADSHEET_TEXT[case], encoding="utf-8")
+    clean = load_csv(write_table(tmp_path, CLEAN_LINES), default_schema())
+    assert load_csv(path, default_schema()) == clean
+
+
+def test_schema_column_named_twice_in_header_raises(tmp_path):
+    path = write_table(tmp_path, ["Price," + HEADER, "1.0," + CLEAN_LINES[1]])
+    with pytest.raises(DataError, match="'Price' appears more than once"):
+        load_csv(path, default_schema())
 
 
 def test_blank_and_na_fields_become_missing(tmp_path):
@@ -134,37 +161,18 @@ def test_allow_missing_target(tmp_path):
     assert table.rows[0] == (1.0, None)
     with pytest.raises(MissingColumn):
         load_csv(path, schema)
-
-
-def test_column_stats_numeric():
-    schema = (ColumnSchema("x", NUMERIC), ColumnSchema("y", NUMERIC, TARGET))
-    table = DataTable(schema, ((1.0, 0.0), (None, 0.0), (3.0, 0.0)))
-    stats = column_stats(table, "x")
-    assert stats.count == 3
-    assert stats.missing_count == 1
-    assert stats.mean == 2.0
-
-
-def test_column_stats_all_missing_mean_absent():
-    schema = (ColumnSchema("x", NUMERIC), ColumnSchema("y", NUMERIC, TARGET))
-    table = DataTable(schema, ((None, 0.0), (None, 0.0)))
-    stats = column_stats(table, "x")
-    assert stats.mean is None
-    assert stats.missing_count == 2
-
-
-def test_column_stats_categorical_distinct():
-    schema = (ColumnSchema("c", CATEGORICAL), ColumnSchema("y", NUMERIC, TARGET))
-    table = DataTable(schema, (("grey", 0.0), ("grey", 0.0), ("black", 0.0)))
-    stats = column_stats(table, "c")
-    assert stats.distinct_values == frozenset({"grey", "black"})
+    # A target column with no value in any row: prediction input, not training input.
+    path = write_table(tmp_path, ["a,y", "1.0,", "2.0,NA"], "empty-target.csv")
+    assert load_csv(path, schema, allow_missing_target=True).rows == ((1.0, None), (2.0, None))
+    with pytest.raises(DataError, match="target column 'y' has no value"):
+        load_csv(path, schema)
 
 
 def test_column_stats_unknown_column():
     schema = (ColumnSchema("x", NUMERIC), ColumnSchema("y", NUMERIC, TARGET))
     table = DataTable(schema, ((1.0, 0.0),))
     with pytest.raises(UnknownColumn):
-        column_stats(table, "nope")
+        table.column("nope")
 
 
 def _toy_table(n):

@@ -23,9 +23,9 @@ from rangeboost.range_binning import BinSpec
 # One instance of each dataclass read with from_doc, every field off its default.
 INSTANCES = [
     TrainConfig(n_trees=3, learning_rate=0.25, reg_lambda=0.5, gamma=0.1, max_depth=2,
-                min_child_weight=2.0, base_score=1.5, seed=4),
+                min_child_weight=2.0, base_score=1.5),
     GbdtBaselineConfig(n_trees=5, learning_rate=0.5, max_depth=3, min_samples_leaf=2),
-    SvrConfig(epsilon=0.2, c=2.0, step_size=1e-3, step_decay=0.5, epochs=7, seed=1),
+    SvrConfig(epsilon=0.2, c=2.0, step_size=1e-3, step_decay=0.5, epochs=7),
     SyntheticSpec(n_products=50, categories=("mice", "desks"), brand_count=3,
                   missing_rates={"Price": 0.5, "Sales": 0.0}, noise_scale=0.1, seed=2),
     BinSpec(edges=(-1.0, 0.1 + 0.2, 10.0), labels=("low", "high")),
