@@ -20,7 +20,6 @@ from .boosted_trees import (
     grow_tree,
     leaf_weight,
     objective_value,
-    split_gain,
     to_json,
     train,
 )

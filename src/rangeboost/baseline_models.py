@@ -40,13 +40,9 @@ def fit_ols(matrix, targets) -> LinearModel:
     return LinearModel(weights=tuple(float(w) for w in solution[:-1]), intercept=float(solution[-1]))
 
 
-def ridge_posterior_mean(matrix, targets, alpha: float) -> np.ndarray:
+def _ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     """Posterior-mean weights (X'X + alpha I)^-1 X'y of the Gaussian linear
     model with an isotropic prior of precision alpha."""
-    return _ridge_solve(*check_fit_inputs(matrix, targets), alpha)
-
-
-def _ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     if alpha <= 0:
         raise InvalidConfig(f"prior precision must be positive, got {alpha}")
     gram = X.T @ X + alpha * np.eye(X.shape[1])

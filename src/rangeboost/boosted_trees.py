@@ -59,31 +59,6 @@ def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
     return -g_sum / denom
 
 
-def split_gain(
-    g_left: float,
-    h_left: float,
-    g_right: float,
-    h_right: float,
-    reg_lambda: float,
-    gamma: float,
-) -> float:
-    """Objective reduction from splitting one leaf into two, net of the
-    per-leaf penalty gamma.  May be negative."""
-    if h_left + reg_lambda <= 0.0 or h_right + reg_lambda <= 0.0:
-        raise DegenerateLeaf("each child needs a positive hessian sum plus lambda")
-    g_parent = g_left + g_right
-    h_parent = h_left + h_right
-    return (
-        0.5
-        * (
-            g_left * g_left / (h_left + reg_lambda)
-            + g_right * g_right / (h_right + reg_lambda)
-            - g_parent * g_parent / (h_parent + reg_lambda)
-        )
-        - gamma
-    )
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for the second-order learner.
@@ -288,12 +263,8 @@ def find_best_split(
     h_right = h_total - h_left
 
     lam = config.reg_lambda
-    usable = (
-        (h_left >= config.min_child_weight)
-        & (h_right >= config.min_child_weight)
-        & (h_left + lam > 0.0)
-        & (h_right + lam > 0.0)
-    )
+    # Each side holds a row and lambda >= 0, so H + lambda > 0 on both.
+    usable = (h_left >= config.min_child_weight) & (h_right >= config.min_child_weight)
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = (
             0.5

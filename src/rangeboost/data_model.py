@@ -8,10 +8,8 @@ share across threads.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -90,15 +88,11 @@ class DataTable:
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.schema)
 
-    def column_index(self, name: str) -> int:
-        for i, c in enumerate(self.schema):
-            if c.name == name:
-                return i
-        raise UnknownColumn(name)
-
     def column(self, name: str) -> list:
-        j = self.column_index(name)
-        return [row[j] for row in self.rows]
+        for j, c in enumerate(self.schema):
+            if c.name == name:
+                return [row[j] for row in self.rows]
+        raise UnknownColumn(name)
 
     def target_schema(self) -> ColumnSchema:
         return next(c for c in self.schema if c.role == TARGET)
@@ -160,10 +154,9 @@ def load_csv(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = 
 
     Column order in the file is free; columns are matched by header name,
     and each may appear once.  A leading byte-order mark and blank lines
-    are skipped.  Without ``allow_missing_target`` some row must have a
-    target value; with it the target column may be absent from the file
-    (all its cells load as missing), which is what prediction-time inputs
-    look like.
+    are skipped.  With ``allow_missing_target`` the target column may be
+    absent from the file (all its cells load as missing), which is what
+    prediction-time inputs look like.
     """
     schema = _check_schema(schema)
     try:
@@ -185,7 +178,7 @@ def load_csv(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = 
                 elif col.role == TARGET and allow_missing_target:
                     positions[col.name] = None
                 else:
-                    raise MissingColumn(col.name)
+                    raise MissingColumn(f"{path}: column {col.name!r} not in header")
             rows = []
             for fields in reader:
                 if not fields:  # a blank line
@@ -206,9 +199,6 @@ def load_csv(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = 
                 rows.append(tuple(cells))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"{path}: {exc}") from exc
-    target = next(i for i, col in enumerate(schema) if col.role == TARGET)
-    if rows and not allow_missing_target and all(row[target] is None for row in rows):
-        raise DataError(f"{path}: target column {schema[target].name!r} has no value in any row")
     return DataTable(schema, tuple(rows))
 
 
@@ -256,7 +246,3 @@ def schema_from_json(doc) -> tuple[ColumnSchema, ...]:
 
 def load_schema(path) -> tuple[ColumnSchema, ...]:
     return schema_from_json(read_json(path, "schema", InvalidConfig))
-
-
-def save_schema(schema: Sequence[ColumnSchema], path) -> None:
-    Path(path).write_text(json.dumps(schema_to_json(schema), indent=2) + "\n", encoding="utf-8")

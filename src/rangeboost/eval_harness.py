@@ -313,6 +313,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.data_csv is None) == (self.synthetic is None):
             raise InvalidConfig("configure exactly one of data_csv or synthetic")
+        if self.synthetic is not None and self.schema_path is not None:
+            raise InvalidConfig("a synthetic dataset has the default schema and takes no schema file")
         if self.target_mode not in (RAW_SALES, BINNED_RANGE):
             raise InvalidConfig(f"unknown target mode {self.target_mode!r}")
         if not 0.0 < self.train_fraction < 1.0:

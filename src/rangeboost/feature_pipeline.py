@@ -8,6 +8,7 @@ shipped alongside a model and replayed at prediction time.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -25,7 +26,7 @@ from .data_model import (
     DataTable,
     schema_from_json,
 )
-from .errors import EmptyTrain, InvalidConfig, SchemaMismatch
+from .errors import EmptyTrain, InvalidConfig, NonFiniteInput, SchemaMismatch
 from .jsondoc import check_doc, from_doc, to_doc
 
 UNKNOWN_TOKEN = "unknown"
@@ -242,12 +243,16 @@ def fit_pipeline(
     plan: ImputationPlan | None = None,
     lexicon: ColorLexicon | None = None,
 ) -> EncoderState:
-    """Fit vocabularies and group means on the training partition."""
+    """Fit vocabularies and group means on the training partition, which
+    needs a target value in some row."""
     plan = plan or default_plan()
     lexicon = lexicon or ColorLexicon()
     if train.n == 0:
         raise EmptyTrain("cannot fit the feature pipeline on an empty table")
     _validate_plan(plan, train.schema)
+    target = train.target_schema().name
+    if all(v is None for v in train.column(target)):
+        raise EmptyTrain(f"target column {target!r} has no value in any training row")
 
     resolved = _resolve_categoricals(train, plan, lexicon)
     vocabularies = {
@@ -268,7 +273,10 @@ def fit_pipeline(
                 if v is not None and key is not None:
                     groups.setdefault(key, []).append(v)
             # A left fold from 0.0 in ascending row order fixes every mean's bits.
-            tiers.append({k: reduce(add, vs, 0.0) / len(vs) for k, vs in groups.items()})
+            means = {k: reduce(add, vs, 0.0) / len(vs) for k, vs in groups.items()}
+            if not all(map(math.isfinite, means.values())):
+                raise NonFiniteInput(f"column {col.name!r}: values too large, a group mean overflows")
+            tiers.append(means)
         group_means[col.name] = tuple(tiers)
 
     return EncoderState(
@@ -365,10 +373,6 @@ def plan_from_json(doc) -> ImputationPlan:
             raise InvalidConfig(f"column {name!r}: unknown strategy {kind!r}")
         strategies[name] = from_doc(strategy, options, InvalidConfig, f"plan entry {name!r}")
     return ImputationPlan(strategies=strategies)
-
-
-def lexicon_to_json(lexicon: ColorLexicon) -> dict:
-    return to_doc(lexicon)
 
 
 def lexicon_from_json(doc) -> ColorLexicon:

@@ -11,16 +11,6 @@ from .errors import InvalidConfig, NegativeValue, NonFiniteInput
 from .jsondoc import from_doc, to_doc
 
 DEFAULT_EDGES = (0.0, 50.0, 100.0, 300.0, 500.0, 1000.0, 3000.0, 5000.0, 10000.0)
-DEFAULT_LABELS = (
-    "0-50",
-    "50-100",
-    "100-300",
-    "300-500",
-    "500-1000",
-    "1000-3000",
-    "3000-5000",
-    "5000-10000",
-)
 
 
 def _format_edge(e: float) -> str:
@@ -61,7 +51,7 @@ class BinSpec:
 
 
 def default_bins() -> BinSpec:
-    return BinSpec(edges=DEFAULT_EDGES, labels=DEFAULT_LABELS)
+    return BinSpec()
 
 
 def bin_of(value: float, spec: BinSpec | None = None) -> int:

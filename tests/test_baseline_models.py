@@ -12,7 +12,6 @@ from rangeboost.baseline_models import (
     fit_ols,
     linear_to_json,
     predict_linear,
-    ridge_posterior_mean,
     svr_objective,
 )
 from rangeboost.errors import EmptyData, InvalidConfig, LayoutMismatch, NonFiniteInput
@@ -46,11 +45,14 @@ def test_ols_zero_features_gives_mean_intercept():
     assert model.intercept == pytest.approx(3.0)
 
 
-def test_ridge_posterior_mean_diagonal_closed_form():
+def test_bayes_ridge_diagonal_closed_form():
+    # Every column and the target are centred already, and X'X = 2I, so the
+    # posterior mean is X'y / (2 + alpha) with a zero intercept.
+    matrix = np.vstack([np.eye(3), -np.eye(3)])
     for alpha in (0.5, 1.0, 4.0):
-        weights = ridge_posterior_mean(np.eye(6), np.eye(6)[0], alpha)
-        assert weights[0] == pytest.approx(1.0 / (1.0 + alpha), abs=1e-12)
-        assert np.allclose(weights[1:], 0.0)
+        model = fit_bayes_ridge(matrix, matrix[:, 0], alpha)
+        assert np.allclose(model.weights, np.array([2.0, 0.0, 0.0]) / (2.0 + alpha), rtol=0.0, atol=1e-12)
+        assert model.intercept == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bayes_ridge_approaches_ols_for_tiny_alpha():

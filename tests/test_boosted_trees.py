@@ -17,7 +17,6 @@ from rangeboost.boosted_trees import (
     grow_tree,
     leaf_weight,
     objective_value,
-    split_gain,
     to_json,
     train,
 )
@@ -61,25 +60,34 @@ def test_leaf_weight_degenerate():
         leaf_weight(1.0, 0.0, 0.0)
 
 
-def test_split_gain_closed_forms():
-    assert split_gain(-2.0, 1.0, 2.0, 1.0, 0.0, 0.0) == 4.0
-    assert split_gain(-2.0, 1.0, 2.0, 1.0, 0.0, 1.0) == 3.0
-    assert split_gain(0.0, 1.0, 0.0, 1.0, 0.0, 0.5) == -0.5
-
-
 def test_split_gain_matches_objective_difference():
+    # A split's gain is the parent leaf's objective at its optimal weight
+    # minus the two children's, net of gamma; lambda = 0 included.
     rng = np.random.default_rng(4)
-    for _ in range(500):
-        gl, gr = rng.uniform(-10, 10, 2)
-        hl, hr = rng.uniform(0.2, 10, 2)
-        lam = float(rng.uniform(0, 5))
+    found = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 30))
+        matrix = rng.integers(0, 5, size=(n, int(rng.integers(1, 4)))).astype(np.float64)
+        rows = np.arange(n)
+        grad = rng.uniform(-10, 10, n)
+        lam = float(rng.choice([0.0, rng.uniform(0, 5)]))
         gamma = float(rng.uniform(0, 2))
-        parent = leaf_objective(gl + gr, hl + hr, lam, leaf_weight(gl + gr, hl + hr, lam))
-        children = leaf_objective(gl, hl, lam, leaf_weight(gl, hl, lam)) + leaf_objective(
-            gr, hr, lam, leaf_weight(gr, hr, lam)
-        )
-        expected = parent - children - gamma
-        assert split_gain(gl, hl, gr, hr, lam, gamma) == pytest.approx(expected, abs=1e-9)
+        config = TrainConfig(reg_lambda=lam, gamma=gamma, min_child_weight=0.0)
+        split = find_best_split(rows, matrix, grad, config)
+        if split is None:
+            continue
+        found += 1
+        left = matrix[rows, split.feature] < split.threshold
+        parent = _leaf_optimum(grad, lam)
+        children = _leaf_optimum(grad[left], lam) + _leaf_optimum(grad[~left], lam)
+        assert split.gain == pytest.approx(parent - children - gamma, abs=1e-9)
+    assert found > 200
+
+
+def _leaf_optimum(grad, lam):
+    """Objective of one leaf holding ``grad`` (unit hessians) at its weight."""
+    g, h = float(np.sum(grad)), float(grad.size)
+    return leaf_objective(g, h, lam, leaf_weight(g, h, lam))
 
 
 def _grad_for(targets, prediction=0.0):

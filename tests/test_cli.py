@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -8,9 +10,10 @@ from hypothesis import strategies as st
 
 from rangeboost import boosted_trees, cli, eval_harness
 from rangeboost.cli import main
-from rangeboost.data_model import default_schema, load_csv, save_schema, schema_to_json
+from rangeboost.data_model import default_schema, load_csv, schema_to_json
 from rangeboost.eval_harness import experiment_from_json
-from rangeboost.feature_pipeline import ColorLexicon, default_plan, lexicon_to_json, plan_to_json
+from rangeboost.feature_pipeline import ColorLexicon, default_plan, plan_to_json
+from rangeboost.jsondoc import to_doc
 from rangeboost.range_binning import bins_to_json, default_bins
 
 
@@ -178,6 +181,10 @@ def test_exit_code_4_on_model_errors(tmp_path, synth_csv):
 NOT_UTF8 = b'{"seed": "\xff"}'
 CSV_HEADER = ",".join(column.name for column in default_schema())
 CSV_ROW = "computer mice,acme,grey,acme,19.99,4.5,120,3,0.2"
+# The same row shipping in 1e308 days: two of them overflow the Shipment means.
+HUGE_SHIPMENT_ROW = "computer mice,acme,grey,acme,19.99,4.5,120,1e308,0.2"
+# Ten rows whose only Sales value is row 5, a test row of the seed-7 split.
+SALES_IN_TEST_ROW_ONLY = "".join(f"{CSV_ROW},{150 if i == 5 else ''}\n" for i in range(10))
 TINY_EXPERIMENT = {"dataset": {"synthetic": {"n_products": 60, "seed": 5}}}
 CATEGORICAL_TARGET = [
     {**column, "kind": "categorical"} if column["role"] == "target" else column
@@ -272,6 +279,24 @@ MALFORMED_INPUTS = {
         3,
     ),
     "train-csv-no-target-value": ("train", "--data", f"{CSV_HEADER}\n{CSV_ROW},\n{CSV_ROW},NA\n".encode(), 3),
+    "experiment-csv-no-target-value-in-train-rows": (
+        "compare",
+        "--experiment",
+        {"dataset": {"csv": "sales-in-test-row-only.csv"}, "seed": 7},
+        3,
+    ),
+    "train-csv-group-mean-overflows": (
+        "train",
+        "--data",
+        (f"{CSV_HEADER}\n" + f"{CSV_ROW},150\n" * 10 + f"{HUGE_SHIPMENT_ROW},900\n" * 2).encode(),
+        3,
+    ),
+    "experiment-synthetic-with-schema": (
+        "compare",
+        "--experiment",
+        {"dataset": {**TINY_EXPERIMENT["dataset"], "schema": "no-such-schema.json"}},
+        2,
+    ),
     "max-depth-bool": ("train", "--config", {"model": {"max_depth": True}}, 2),
     "categories-number": ("synth", "--spec", {"categories": 3}, 2),
     "synth-n-products-over-limit": ("synth", "--spec", {"n_products": 10**31}, 2),
@@ -361,6 +386,7 @@ def trained(tmp_path_factory):
     assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
     assert main(["train", "--data", str(data), "--config", str(config), "--model-out", str(model)]) == 0
     (root / "categorical-target.json").write_text(json.dumps(CATEGORICAL_TARGET), encoding="utf-8")
+    (root / "sales-in-test-row-only.csv").write_text(f"{CSV_HEADER}\n{SALES_IN_TEST_ROW_ONLY}", encoding="utf-8")
     return data, model
 
 
@@ -423,11 +449,11 @@ def _documents(csv_path, model):
     """The three JSON inputs the fuzz test mutates, each with every section
     filled in: a trained model file, a train config and an experiment."""
     root = model.parent
-    save_schema(default_schema(), root / "schema.json")
+    (root / "schema.json").write_text(json.dumps(schema_to_json(default_schema())), encoding="utf-8")
     shared = {
         "target_mode": "binned_range",
         "bins": bins_to_json(default_bins()),
-        "pipeline": {"plan": plan_to_json(default_plan()), "lexicon": lexicon_to_json(ColorLexicon())},
+        "pipeline": {"plan": plan_to_json(default_plan()), "lexicon": to_doc(ColorLexicon())},
     }
     tree_config = {"n_trees": 2, "learning_rate": 0.3, "max_depth": 3, "min_child_weight": 1.0}
     return {
@@ -482,6 +508,72 @@ def test_mutated_document_never_raises(kind, trained, data):
         "experiment": ["compare", "--experiment", fuzzed, "--out", root / "fuzzed-report.json"],
     }[kind]
     assert main([str(part) for part in argv]) in (0, 2, 3, 4)
+
+
+# Header mutations act on a whole column, its name and every cell.
+CSV_MUTATIONS = (
+    "delete-column", "duplicate-column", "rename-header", "bom", "blank-lines",
+    "quoted-newline", "non-utf8-byte", "truncate-row", "cell",
+)
+CELL_TEXTS = ("text", "inf", "1e400", "-0", "$1,234", "1e308")
+
+
+def _mutated_csv(clean: str, data) -> bytes:
+    """``clean`` with one mutation drawn from ``CSV_MUTATIONS``."""
+    rows = list(csv.reader(io.StringIO(clean)))
+    kind = data.draw(st.sampled_from(CSV_MUTATIONS))
+    j = data.draw(st.integers(0, len(rows[0]) - 1))
+    i = data.draw(st.integers(1, len(rows) - 1))  # a data row
+    if kind == "delete-column":
+        for row in rows:
+            del row[j]
+    elif kind == "duplicate-column":
+        for row in rows:
+            row.append(row[j])
+    elif kind == "rename-header":
+        rows[0][j] = data.draw(st.text(st.characters(codec="utf-8"), max_size=6))
+    elif kind == "quoted-newline":
+        rows[i][j] += "\nmore"
+    elif kind == "cell":  # in up to three rows, so that two huge values can meet in one mean
+        text = data.draw(st.sampled_from(CELL_TEXTS))
+        for k in data.draw(st.lists(st.integers(1, len(rows) - 1), min_size=1, max_size=3)):
+            rows[k][j] = text
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    lines = buffer.getvalue().splitlines(keepends=True)
+    if kind == "bom":
+        i = data.draw(st.integers(0, len(lines) - 1))  # the header line too
+        lines[i] = "\ufeff" + lines[i]
+    elif kind == "blank-lines":
+        lines.insert(i, "\r\n" * data.draw(st.integers(1, 3)))
+    elif kind == "truncate-row":
+        lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i]) - 3))] + "\r\n"
+    content = "".join(lines).encode("utf-8")
+    if kind == "non-utf8-byte":
+        at = data.draw(st.integers(0, len(content)))
+        content = content[:at] + b"\xff" + content[at:]
+    return content
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_csv_never_raises(trained, data):
+    """Training on a mutated copy of the 40-row CSV, and predicting on it,
+    exits 0, 2, 3 or 4 and never ends in a traceback; a model that trains
+    loads and predicts on the clean CSV."""
+    csv_path, model = trained
+    root = model.parent
+    mutated = root / "mutated.csv"
+    mutated.write_bytes(_mutated_csv(csv_path.read_text(encoding="utf-8"), data))
+    mutated_model = root / "mutated-model.json"
+    trained_code = main([
+        "train", "--data", str(mutated), "--config", str(root / "train.json"), "--model-out", str(mutated_model)
+    ])
+    assert trained_code in (0, 2, 3, 4)
+    out = str(root / "mutated-predictions.csv")
+    assert main(["predict", "--model", str(model), "--data", str(mutated), "--out", out]) in (0, 2, 3, 4)
+    if trained_code == 0:
+        assert main(["predict", "--model", str(mutated_model), "--data", str(csv_path), "--out", out]) == 0
 
 
 def test_readme_json_examples_load():

@@ -13,7 +13,7 @@ from rangeboost.data_model import (
     DataTable,
     default_schema,
 )
-from rangeboost.errors import EmptyTrain, InvalidConfig, SchemaMismatch
+from rangeboost.errors import EmptyTrain, InvalidConfig, NonFiniteInput, SchemaMismatch
 from rangeboost.eval_harness import SyntheticSpec, generate_synthetic
 from rangeboost.feature_pipeline import (
     ColorLexicon,
@@ -346,6 +346,15 @@ def test_fit_transform_deterministic():
 def test_empty_train_raises():
     with pytest.raises(EmptyTrain):
         fit_pipeline(_product_table([]))
+    # Rows whose target cells are all missing would train on zero-filled targets.
+    with pytest.raises(EmptyTrain, match="target column 'Sales' has no value in any training row"):
+        fit_pipeline(_product_table([_row(sales=None), _row(price=5.0, sales=None)]))
+
+
+def test_overflowing_group_mean_names_its_column():
+    table = _product_table([_row(shipment=1e308), _row(shipment=1e308), _row(shipment=None)])
+    with pytest.raises(NonFiniteInput, match="'Shipment'"):
+        fit_pipeline(table)
 
 
 def test_schema_mismatch_raises():
