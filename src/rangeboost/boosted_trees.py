@@ -92,7 +92,8 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TreeNode:
     """Either an internal test (feature, threshold, children) or a leaf
-    (weight).  Rows with value < threshold route left, >= routes right."""
+    (weight).  ``_route`` applies the test, for the predictor and the grower
+    alike: rows with value < threshold route left, the rest right."""
 
     feature: int | None = None
     threshold: float | None = None
@@ -103,6 +104,15 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
+
+
+def _route(column: np.ndarray, rows: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The split rule: of ``rows``, those whose ``column`` value is below
+    ``threshold`` go left and the rest (NaN included) go right, each side
+    keeping the order of ``rows``.  ``take`` gathers from a column of any
+    stride, and ``compress`` partitions without a fancy-index pass."""
+    goes_left = column.take(rows) < threshold
+    return rows.compress(goes_left), rows.compress(~goes_left)
 
 
 @dataclass(frozen=True)
@@ -119,9 +129,9 @@ class RegressionTree:
             if node.is_leaf:
                 out[rows] = node.weight
             else:
-                mask = matrix[rows, node.feature] < node.threshold
-                stack.append((node.left, rows[mask]))
-                stack.append((node.right, rows[~mask]))
+                left, right = _route(matrix[:, node.feature], rows, node.threshold)
+                stack.append((node.left, left))
+                stack.append((node.right, right))
         return out
 
     def leaf_weights(self) -> np.ndarray:
@@ -143,7 +153,8 @@ class Ensemble:
     feature_layout: tuple[str, ...]
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
-        # Column-major, so each split's gather reads one contiguous column.
+        # Column-major, so each split's ``take`` gathers from one contiguous
+        # column; routing gives the same bits for any layout.
         matrix = np.asfortranarray(check_predict_inputs(matrix, len(self.feature_layout)))
         out = np.full(matrix.shape[0], self.base_score, dtype=np.float64)
         for tree in self.trees:
@@ -322,8 +333,7 @@ def grow_tree(
         # Pre-order: the left child is popped next, the right one after the
         # left subtree, which fills in its index above.
         nodes.append(TreeNode(feature=split.feature, threshold=split.threshold, left=index + 1))
-        mask = matrix[node_rows, split.feature] < split.threshold
-        left_rows, right_rows = node_rows[mask], node_rows[~mask]
+        left_rows, right_rows = _route(matrix[:, split.feature], node_rows, split.threshold)
         left = right = None  # children at max_depth are leaves
         if depth + 1 < config.max_depth:
             small = left_rows if left_rows.shape[0] <= right_rows.shape[0] else right_rows
@@ -369,6 +379,12 @@ def check_finite(what: str, *arrays: np.ndarray) -> None:
         raise NonFiniteInput(f"{what} inputs must be finite")
 
 
+# No node's |G| exceeds a round's sum |grad|, and each side of a split holds a
+# row, so each term G^2/(H + lambda) of a gain, and the sum of two, is at most
+# that sum squared.  Below this bound the square is finite with room to spare.
+_MAX_GRAD_SUM = float(np.sqrt(np.finfo(np.float64).max / 2.0))
+
+
 def train(
     matrix: np.ndarray,
     targets: np.ndarray,
@@ -398,14 +414,20 @@ def train(
     base = float(np.mean(targets)) if config.base_score is None else float(config.base_score)
     predictions = np.full(matrix.shape[0], base, dtype=np.float64)
     rows = np.arange(matrix.shape[0])
-    # Column-major, as in Ensemble.predict: each partition and each update
-    # gather reads one contiguous column.
+    # Column-major, as in Ensemble.predict: each partition's and each
+    # update's ``take`` gathers from one contiguous column.
     matrix = np.asfortranarray(matrix)
     bins = _rank_codes(matrix)  # built once here, not per tree in grow_tree
 
     trees: list[RegressionTree] = []
     for _ in range(config.n_trees):
         grad = predictions - targets
+        grad_sum = float(np.abs(grad).sum())
+        if not grad_sum <= _MAX_GRAD_SUM:
+            raise NonFiniteInput(
+                f"gradient sum {grad_sum:.3g} would overflow the split gains "
+                f"(limit {_MAX_GRAD_SUM:.3g}); rescale the target"
+            )
         tree = grow_tree(rows, matrix, grad, config, bins)
         trees.append(tree)
         predictions += tree.predict(matrix)

@@ -444,6 +444,20 @@ def test_train_rejects_bad_inputs():
         TrainConfig(reg_lambda=-1.0)
 
 
+def test_train_rejects_a_gradient_sum_that_overflows_the_gains():
+    matrix = np.arange(8.0).reshape(-1, 1)
+    targets = np.repeat([0.0, 1e200], 4)
+    config = TrainConfig(n_trees=3, reg_lambda=0.0)
+    with pytest.raises(NonFiniteInput, match="rescale the target"):
+        train(matrix, targets, config)
+    # Rescaled, the same data splits at the step.
+    assert train(matrix, targets / 1e190, config).trees[0].nodes[0].threshold == 3.5
+    # At the bound itself (|grad| = limit/8 per row) every gain is finite: an
+    # overflow warning would fail this test.
+    at_bound = np.repeat([0.0, boosted_trees._MAX_GRAD_SUM / 4.0], 4)
+    assert train(matrix, at_bound, config).trees[0].nodes[0].threshold == 3.5
+
+
 def test_train_deterministic_across_worker_counts():
     rng = np.random.default_rng(7)
     matrix = rng.normal(size=(80, 6))
@@ -497,11 +511,7 @@ def test_routing_ignores_memory_layout():
             ]
             rows.append(at)
     matrix = np.vstack(rows)
-    wide = np.zeros((2 * matrix.shape[0], 3 * matrix.shape[1]))
-    wide[::2, ::3] = matrix
-    layouts = [np.ascontiguousarray(matrix), np.asfortranarray(matrix), wide[::2, ::3]]
-    assert layouts[1].flags.f_contiguous and not layouts[1].flags.c_contiguous
-    assert not (layouts[2].flags.c_contiguous or layouts[2].flags.f_contiguous)
+    layouts = _layouts(matrix)
 
     expected = model.predict(layouts[0])
     references = [np.array([_route_one_row(tree, row) for row in matrix]) for tree in model.trees]
@@ -509,6 +519,60 @@ def test_routing_ignores_memory_layout():
         assert model.predict(layout).tobytes() == expected.tobytes()
         for tree, reference in zip(model.trees, references):
             assert tree.predict(layout).tobytes() == reference.tobytes()
+
+
+def _layouts(matrix):
+    """C-ordered, Fortran-ordered and strided copies of ``matrix``."""
+    wide = np.zeros((2 * matrix.shape[0], 3 * matrix.shape[1]))
+    wide[::2, ::3] = matrix
+    layouts = [np.ascontiguousarray(matrix), np.asfortranarray(matrix), wide[::2, ::3]]
+    assert layouts[1].flags.f_contiguous and not layouts[1].flags.c_contiguous
+    assert not (layouts[2].flags.c_contiguous or layouts[2].flags.f_contiguous)
+    return layouts
+
+
+def test_route_matches_boolean_indexing():
+    # The boolean-index expression the predictor and the grower used before
+    # ``_route`` is the reference, for every layout, row set and threshold.
+    rng = np.random.default_rng(23)
+    matrix = rng.integers(-3, 4, size=(40, 5)).astype(np.float64)  # repeated values
+    matrix[:, 4] = rng.normal(size=40)
+    for layout in _layouts(matrix):
+        for _ in range(30):
+            f = int(rng.integers(5))
+            column = layout[:, f]
+            size = int(rng.integers(41))
+            subsets = [
+                np.arange(0),
+                np.sort(rng.choice(40, size=size, replace=False)),
+                rng.permutation(40)[:size],
+            ]
+            cell = column[rng.integers(40)]
+            thresholds = [
+                np.nextafter(cell, -np.inf),
+                cell,
+                np.nextafter(cell, np.inf),
+                column.min(),  # every row right
+                np.nextafter(column.max(), np.inf),  # every row left
+            ]
+            for rows in subsets:
+                for t in thresholds:
+                    left, right = boosted_trees._route(column, rows, t)
+                    mask = layout[rows, f] < t
+                    for got, want in ((left, rows[mask]), (right, rows[~mask])):
+                        assert got.dtype == want.dtype
+                        assert got.tobytes() == want.tobytes()
+            everything = np.arange(40)
+            assert boosted_trees._route(column, everything, column.min())[0].size == 0
+            assert boosted_trees._route(column, everything, np.nextafter(column.max(), np.inf))[1].size == 0
+
+
+def test_predict_zero_rows_returns_an_empty_vector():
+    rng = np.random.default_rng(24)
+    matrix = rng.normal(size=(20, 3))
+    model = train(matrix, rng.normal(size=20), TrainConfig(n_trees=3, max_depth=2))
+    out = model.predict(np.empty((0, 3)))
+    assert out.dtype == np.float64 and out.shape == (0,)
 
 
 def test_training_ignores_memory_layout():

@@ -183,6 +183,12 @@ CSV_HEADER = ",".join(column.name for column in default_schema())
 CSV_ROW = "computer mice,acme,grey,acme,19.99,4.5,120,3,0.2"
 # The same row shipping in 1e308 days: two of them overflow the Shipment means.
 HUGE_SHIPMENT_ROW = "computer mice,acme,grey,acme,19.99,4.5,120,1e308,0.2"
+# Eight rows, Sales 0 below price 30 and 1e200 above: raw-sales gradient
+# sums of 4e200, whose squares overflow the split gains.
+HUGE_SALES_ROWS = "".join(
+    f"computer mice,acme,grey,acme,{price},4.5,120,3,0.2,{0 if price < 30 else 1e200}\n"
+    for price in (10, 15, 20, 25, 35, 40, 45, 50)
+)
 # Ten rows whose only Sales value is row 5, a test row of the seed-7 split.
 SALES_IN_TEST_ROW_ONLY = "".join(f"{CSV_ROW},{150 if i == 5 else ''}\n" for i in range(10))
 TINY_EXPERIMENT = {"dataset": {"synthetic": {"n_products": 60, "seed": 5}}}
@@ -197,9 +203,9 @@ def _categorical_target(document):
         schema[:] = CATEGORICAL_TARGET
 
 
-# case -> (subcommand, option, file content, expected exit code).  Content is
-# raw bytes, a JSON document, or a function that corrupts a freshly trained
-# model document in place.
+# case -> (subcommand, option, file content, expected exit code[, further
+# options]).  Content is raw bytes, a JSON document, or a function that
+# corrupts a freshly trained model document in place.
 MALFORMED_INPUTS = {
     "experiment-not-utf8": ("compare", "--experiment", NOT_UTF8, 2),
     "train-config-not-utf8": ("train", "--config", NOT_UTF8, 2),
@@ -290,6 +296,13 @@ MALFORMED_INPUTS = {
         "--data",
         (f"{CSV_HEADER}\n" + f"{CSV_ROW},150\n" * 10 + f"{HUGE_SHIPMENT_ROW},900\n" * 2).encode(),
         3,
+    ),
+    "train-csv-raw-sales-gain-overflows": (
+        "train",
+        "--data",
+        f"{CSV_HEADER}\n{HUGE_SALES_ROWS}".encode(),
+        3,
+        {"--config": "raw-sales.json"},
     ),
     "experiment-synthetic-with-schema": (
         "compare",
@@ -385,6 +398,7 @@ def trained(tmp_path_factory):
     model = root / "model.json"
     assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
     assert main(["train", "--data", str(data), "--config", str(config), "--model-out", str(model)]) == 0
+    (root / "raw-sales.json").write_text(json.dumps({"target_mode": "raw_sales"}), encoding="utf-8")
     (root / "categorical-target.json").write_text(json.dumps(CATEGORICAL_TARGET), encoding="utf-8")
     (root / "sales-in-test-row-only.csv").write_text(f"{CSV_HEADER}\n{SALES_IN_TEST_ROW_ONLY}", encoding="utf-8")
     return data, model
@@ -396,7 +410,7 @@ def _no_catalog(spec=None):
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_with_its_code(case, trained, tmp_path, capsys, monkeypatch):
-    command, option, content, expected = MALFORMED_INPUTS[case]
+    command, option, content, expected, *further = MALFORMED_INPUTS[case]
     # Each is rejected while its spec is read, so a spec too large to build
     # is never built.
     monkeypatch.setattr(cli, "generate_synthetic", _no_catalog)
@@ -418,6 +432,7 @@ def test_malformed_input_exits_with_its_code(case, trained, tmp_path, capsys, mo
         "compare": {},
     }[command]
     options[option] = bad
+    options.update(*further)
     argv = [command] + [str(part) for pair in options.items() for part in pair]
     assert main(argv) == expected
     assert capsys.readouterr().err.startswith(("config error:", "data error:", "model error:"))
