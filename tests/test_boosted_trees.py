@@ -532,8 +532,8 @@ def _layouts(matrix):
 
 
 def test_route_matches_boolean_indexing():
-    # The boolean-index expression the predictor and the grower used before
-    # ``_route`` is the reference, for every layout, row set and threshold.
+    # Boolean indexing, rows[matrix[rows, f] < t], is the reference: _route
+    # must match it to the bit for every layout, row set and threshold.
     rng = np.random.default_rng(23)
     matrix = rng.integers(-3, 4, size=(40, 5)).astype(np.float64)  # repeated values
     matrix[:, 4] = rng.normal(size=40)
