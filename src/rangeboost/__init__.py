@@ -29,6 +29,7 @@ from .data_model import (
     SplitIndices,
     default_schema,
     load_csv,
+    read_rows,
     split_train_test,
     write_csv,
 )

@@ -411,7 +411,13 @@ def train(
             f"{len(names)} feature names for {matrix.shape[1]} matrix columns"
         )
 
-    base = float(np.mean(targets)) if config.base_score is None else float(config.base_score)
+    if config.base_score is None:
+        with np.errstate(over="ignore"):
+            base = float(np.mean(targets))
+        if not np.isfinite(base):
+            raise NonFiniteInput(f"the training-target mean overflows to {base}; rescale the target")
+    else:
+        base = float(config.base_score)
     predictions = np.full(matrix.shape[0], base, dtype=np.float64)
     rows = np.arange(matrix.shape[0])
     # Column-major, as in Ensemble.predict: each partition's and each

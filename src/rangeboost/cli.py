@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
+import numpy as np
+
 from . import boosted_trees
-from .data_model import default_schema, load_csv, load_schema, schema_to_json, write_csv
+from .data_model import DataTable, default_schema, load_csv, load_schema, read_rows, schema_to_json, write_csv
 from .errors import ConfigError, DataError, InvalidConfig, InvalidSpec, MalformedModel, ModelError
 from .eval_harness import (
     BINNED_RANGE,
@@ -27,13 +31,28 @@ from .feature_pipeline import fit_pipeline, state_from_json, state_to_json, tran
 from .jsondoc import from_doc, read_json
 from .range_binning import apply_binning, bins_to_json, default_bins
 
+# Rows `predict` parses, encodes and scores at a time: its memory peak is
+# set by one block, not by the file's length.  Smaller blocks add routing
+# calls per tree; larger ones keep more parsed rows alive.
+BLOCK_ROWS = 16_384
+
+
+@contextmanager
+def _writing(path):
+    """Turn a failure to write an output file into a config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidConfig(f"cannot write {path}: {exc}") from exc
+
 
 def _cmd_synth(args) -> int:
     spec = SyntheticSpec()
     if args.spec:
         spec = synthetic_spec_from_json(read_json(args.spec, "synthetic spec", InvalidSpec))
     table = generate_synthetic(spec)
-    write_csv(table, args.out)
+    with _writing(args.out):
+        write_csv(table, args.out)
     print(f"wrote {table.n} rows x {len(table.schema)} columns to {args.out}")
     return 0
 
@@ -56,12 +75,21 @@ def _cmd_train(args) -> int:
     document["schema"] = schema_to_json(schema)
     document["target_mode"] = target_mode
     document["bins"] = bins_to_json(bins) if target_mode == BINNED_RANGE else None
-    boosted_trees.save_model(document, args.model_out)
+    with _writing(args.model_out):
+        boosted_trees.save_model(document, args.model_out)
     print(
         f"trained {len(ensemble.trees)} trees on {table.n} rows "
         f"({len(state.layout)} encoded features); model written to {args.model_out}"
     )
     return 0
+
+
+def _predict_block(ensemble, state, rows) -> np.ndarray:
+    """Predictions for the next ``BLOCK_ROWS`` rows of ``rows`` (fewer at the
+    end of the file).  The parsed rows are freed once encoded, and the
+    encoded block once scored."""
+    matrix, _ = transform(DataTable(state.schema, tuple(islice(rows, BLOCK_ROWS))), state)
+    return ensemble.predict(matrix)
 
 
 def _cmd_predict(args) -> int:
@@ -75,11 +103,13 @@ def _cmd_predict(args) -> int:
         raise MalformedModel(f"model file {args.model}: its schema differs from pipeline.schema")
     if ensemble.feature_layout != state.layout:
         raise MalformedModel(f"model file {args.model}: its feature_layout differs from pipeline.layout")
-    table = load_csv(args.data, state.schema, allow_missing_target=True)
-    matrix, _ = transform(table, state)
-    del table  # frees the parsed rows before predict copies the matrix
-    predictions = ensemble.predict(matrix)
-    with open(args.out, "w", encoding="utf-8") as handle:
+    rows = read_rows(args.data, state.schema, allow_missing_target=True)
+    # At least one block, so a header-only CSV is encoded and scored too.
+    parts = [_predict_block(ensemble, state, rows)]
+    while len(parts[-1]) == BLOCK_ROWS:
+        parts.append(_predict_block(ensemble, state, rows))
+    predictions = np.concatenate(parts)
+    with _writing(args.out), open(args.out, "w", encoding="utf-8") as handle:
         handle.write("prediction\n")
         for value in predictions:
             handle.write(repr(float(value)) + "\n")
@@ -97,7 +127,9 @@ def _cmd_compare(args) -> int:
         fmt = {".txt": "table", ".csv": "csv", ".json": "json"}.get(suffix)
         if fmt is None:
             raise InvalidConfig(f"cannot infer report format from {out!r}; use .txt, .csv, or .json")
-        Path(out).write_text(render_report(rows, fmt), encoding="utf-8")
+        report = render_report(rows, fmt)
+        with _writing(out):
+            Path(out).write_text(report, encoding="utf-8")
         print(f"report written to {out}")
     print(table_text, end="")
     return 0

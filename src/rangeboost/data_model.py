@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -149,14 +149,16 @@ def parse_categorical(text: str) -> str | None:
     return s
 
 
-def load_csv(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = False) -> DataTable:
-    """Read a UTF-8, comma-delimited CSV into a DataTable.
+def read_rows(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = False) -> Iterator[tuple]:
+    """Yield the rows of a UTF-8, comma-delimited CSV as tuples of cells in
+    ``schema`` order, one at a time.
 
     Column order in the file is free; columns are matched by header name,
     and each may appear once.  A leading byte-order mark and blank lines
     are skipped.  With ``allow_missing_target`` the target column may be
     absent from the file (all its cells load as missing), which is what
-    prediction-time inputs look like.
+    prediction-time inputs look like.  The file is opened and its header
+    checked at the first ``next``; a bad row raises when it is reached.
     """
     schema = _check_schema(schema)
     try:
@@ -179,7 +181,6 @@ def load_csv(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = 
                     positions[col.name] = None
                 else:
                     raise MissingColumn(f"{path}: column {col.name!r} not in header")
-            rows = []
             for fields in reader:
                 if not fields:  # a blank line
                     continue
@@ -196,10 +197,14 @@ def load_csv(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = 
                         cells.append(parse_numeric(fields[pos]))
                     else:
                         cells.append(parse_categorical(fields[pos]))
-                rows.append(tuple(cells))
+                yield tuple(cells)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"{path}: {exc}") from exc
-    return DataTable(schema, tuple(rows))
+
+
+def load_csv(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = False) -> DataTable:
+    """Read a whole CSV into a DataTable; see ``read_rows`` for the format."""
+    return DataTable(schema, tuple(read_rows(path, schema, allow_missing_target)))
 
 
 def write_csv(table: DataTable, path) -> None:

@@ -458,6 +458,17 @@ def test_train_rejects_a_gradient_sum_that_overflows_the_gains():
     assert train(matrix, at_bound, config).trees[0].nodes[0].threshold == 3.5
 
 
+def test_train_rejects_a_target_mean_that_overflows():
+    # Finite targets whose sum overflows: the error names the mean, with no
+    # overflow warning (which would fail this test) and before any round.
+    matrix = np.arange(4.0).reshape(-1, 1)
+    targets = np.full(4, 1e308)
+    with pytest.raises(NonFiniteInput, match="training-target mean overflows"):
+        train(matrix, targets, TrainConfig(n_trees=3))
+    # A given base score takes no mean.
+    assert train(matrix, targets, TrainConfig(n_trees=0, base_score=0.0)).base_score == 0.0
+
+
 def test_train_deterministic_across_worker_counts():
     rng = np.random.default_rng(7)
     matrix = rng.normal(size=(80, 6))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from rangeboost import boosted_trees, cli, eval_harness
 from rangeboost.cli import main
 from rangeboost.data_model import default_schema, load_csv, schema_to_json
 from rangeboost.eval_harness import experiment_from_json
-from rangeboost.feature_pipeline import ColorLexicon, default_plan, plan_to_json
+from rangeboost.feature_pipeline import ColorLexicon, default_plan, plan_to_json, state_from_json, transform
 from rangeboost.jsondoc import to_doc
 from rangeboost.range_binning import bins_to_json, default_bins
 
@@ -304,6 +305,13 @@ MALFORMED_INPUTS = {
         3,
         {"--config": "raw-sales.json"},
     ),
+    "train-csv-raw-sales-mean-overflows": (
+        "train",
+        "--data",
+        (f"{CSV_HEADER}\n" + f"{CSV_ROW},1e308\n" * 2).encode(),
+        3,
+        {"--config": "raw-sales.json"},
+    ),
     "experiment-synthetic-with-schema": (
         "compare",
         "--experiment",
@@ -436,6 +444,93 @@ def test_malformed_input_exits_with_its_code(case, trained, tmp_path, capsys, mo
     argv = [command] + [str(part) for pair in options.items() for part in pair]
     assert main(argv) == expected
     assert capsys.readouterr().err.startswith(("config error:", "data error:", "model error:"))
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "predict", "compare"])
+def test_unwritable_output_exits_2(command, trained, tmp_path, capsys):
+    data, model = trained
+    experiment = tmp_path / "exp.json"
+    experiment.write_text(json.dumps({**TINY_EXPERIMENT, "models": [{"kind": "ols"}]}), encoding="utf-8")
+    out = tmp_path / "missing" / "out.txt"
+    argv = {
+        "synth": ["synth", "--out", out],
+        "train": ["train", "--data", data, "--config", data.parent / "train.json", "--model-out", out],
+        "predict": ["predict", "--model", model, "--data", data, "--out", out],
+        "compare": ["compare", "--experiment", experiment, "--out", out],
+    }[command]
+    assert main([str(part) for part in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out}: ")
+
+
+def _predict(model, data, out) -> int:
+    return main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)])
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 8, 40])
+def test_predict_in_blocks_matches_one_block(block_rows, trained, tmp_path, monkeypatch):
+    """Scoring the 40-row CSV in blocks (with a remainder, an exact multiple,
+    one full block) writes the bytes of the one-block run, which are those
+    of Ensemble.predict on the whole encoded table."""
+    data, model = trained
+    assert _predict(model, data, tmp_path / "whole.csv") == 0
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+    assert _predict(model, data, tmp_path / "blocks.csv") == 0
+    whole = (tmp_path / "whole.csv").read_bytes()
+    assert (tmp_path / "blocks.csv").read_bytes() == whole
+
+    document = json.loads(model.read_text(encoding="utf-8"))
+    state = state_from_json(document["pipeline"])
+    matrix, _ = transform(load_csv(data, state.schema, allow_missing_target=True), state)
+    expected = boosted_trees.from_json(document).predict(matrix)
+    assert whole.decode("utf-8") == "prediction\n" + "".join(f"{float(v)!r}\n" for v in expected)
+
+
+def test_predict_bad_row_in_a_later_block_writes_nothing(trained, tmp_path, monkeypatch, capsys):
+    data, model = trained
+    lines = data.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[29] = lines[29][:10] + "\n"  # line 30, in the fifth block of 7 rows
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "preds.csv"
+    out.write_text("earlier predictions\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+    assert _predict(model, bad, out) == 3
+    assert "line 30:" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "earlier predictions\n"
+
+
+def test_predict_header_only_csv_writes_the_header(trained, tmp_path, monkeypatch):
+    data, model = trained
+    header_only = tmp_path / "header.csv"
+    header_only.write_text(data.read_text(encoding="utf-8").splitlines(keepends=True)[0], encoding="utf-8")
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+    assert _predict(model, header_only, tmp_path / "preds.csv") == 0
+    assert (tmp_path / "preds.csv").read_bytes() == b"prediction\n"
+
+
+def test_predict_memory_grows_with_the_block_not_the_file(trained, tmp_path, monkeypatch):
+    """predict's traced allocation peak grows by under 100 bytes per row of
+    the file (the predictions, 8 bytes a row per copy), and by several
+    times that per row of a block (parsed cells and the encoded matrix)."""
+    data, model = trained
+    header, *rows = data.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    def peak(n_rows, block_rows):
+        path = tmp_path / f"rows{n_rows}.csv"
+        path.write_text(header + "".join(rows * (n_rows // len(rows))), encoding="utf-8")
+        monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+        tracemalloc.start()
+        try:
+            assert _predict(model, path, tmp_path / "preds.csv") == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long, long_big_blocks = peak(400, 20), peak(4000, 20), peak(4000, 400)
+    per_file_row = (long - short) / (4000 - 400)
+    per_block_row = (long_big_blocks - long) / (400 - 20)
+    assert per_file_row < 100
+    assert per_block_row > 5 * per_file_row
 
 
 def _paths(value, path=()):

@@ -14,6 +14,7 @@ from rangeboost.data_model import (
     load_csv,
     load_schema,
     parse_numeric,
+    read_rows,
     schema_from_json,
     schema_to_json,
     split_train_test,
@@ -72,6 +73,15 @@ def test_spreadsheet_csv_loads_as_the_clean_file(case, tmp_path):
     path.write_text(SPREADSHEET_TEXT[case], encoding="utf-8")
     clean = load_csv(write_table(tmp_path, CLEAN_LINES), default_schema())
     assert load_csv(path, default_schema()) == clean
+
+
+def test_read_rows_yields_each_row_before_reading_the_next(tmp_path):
+    path = write_table(tmp_path, CLEAN_LINES + ["computer mice,acme"])
+    clean = load_csv(write_table(tmp_path, CLEAN_LINES, "clean.csv"), default_schema())
+    rows = read_rows(path, default_schema())
+    assert (next(rows), next(rows)) == clean.rows
+    with pytest.raises(RowArity, match="line 4: expected 10 fields, got 2"):
+        next(rows)
 
 
 def test_schema_column_named_twice_in_header_raises(tmp_path):
