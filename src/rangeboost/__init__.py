@@ -8,13 +8,13 @@ from .baseline_models import (
     fit_gbdt_first_order,
     fit_linear_svr,
     fit_ols,
-    predict_linear,
 )
 from .boosted_trees import (
+    Branch,
     Ensemble,
+    Leaf,
     RegressionTree,
     TrainConfig,
-    TreeNode,
     find_best_split,
     from_json,
     grow_tree,

@@ -23,12 +23,8 @@ class LinearModel:
     intercept: float
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
-        return predict_linear(self, matrix)
-
-
-def predict_linear(model: LinearModel, matrix: np.ndarray) -> np.ndarray:
-    matrix = check_predict_inputs(matrix, len(model.weights))
-    return matrix @ np.asarray(model.weights, dtype=np.float64) + model.intercept
+        matrix = check_predict_inputs(matrix, len(self.weights))
+        return matrix @ np.asarray(self.weights, dtype=np.float64) + self.intercept
 
 
 def fit_ols(matrix, targets) -> LinearModel:

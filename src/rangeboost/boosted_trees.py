@@ -32,8 +32,7 @@ value repeats at a node every gain equals the sorted scan's to the bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from operator import attrgetter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, NamedTuple, Sequence
 
@@ -48,7 +47,7 @@ from .errors import (
     MalformedModel,
     NonFiniteInput,
 )
-from .jsondoc import check_doc, read_json
+from .jsondoc import check_doc, from_doc, read_json, to_doc
 
 
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
@@ -90,20 +89,22 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    """Either an internal test (feature, threshold, children) or a leaf
-    (weight).  ``_route`` applies the test, for the predictor and the grower
-    alike: rows with value < threshold route left, the rest right."""
+class Leaf:
+    """A terminal node: the (shrunken) weight it adds to each row it gets."""
 
-    feature: int | None = None
-    threshold: float | None = None
-    left: int | None = None
-    right: int | None = None
-    weight: float | None = None
+    weight: float
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+
+@dataclass(frozen=True)
+class Branch:
+    """An internal test, and the indices of its two children.  ``_route``
+    applies the test, for the predictor and the grower alike: rows with
+    value < threshold route left, the rest right."""
+
+    feature: int
+    threshold: float
+    left: int
+    right: int
 
 
 def _route(column: np.ndarray, rows: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +118,7 @@ def _route(column: np.ndarray, rows: np.ndarray, threshold: float) -> tuple[np.n
 
 @dataclass(frozen=True)
 class RegressionTree:
-    nodes: tuple[TreeNode, ...]
+    nodes: tuple[Leaf | Branch, ...]
     root: int = 0
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
@@ -126,7 +127,7 @@ class RegressionTree:
         while stack:
             idx, rows = stack.pop()
             node = self.nodes[idx]
-            if node.is_leaf:
+            if isinstance(node, Leaf):
                 out[rows] = node.weight
             else:
                 left, right = _route(matrix[:, node.feature], rows, node.threshold)
@@ -134,12 +135,9 @@ class RegressionTree:
                 stack.append((node.right, right))
         return out
 
-    def leaf_weights(self) -> np.ndarray:
-        return np.asarray([n.weight for n in self.nodes if n.is_leaf], dtype=np.float64)
-
     @property
     def n_leaves(self) -> int:
-        return sum(1 for n in self.nodes if n.is_leaf)
+        return sum(isinstance(n, Leaf) for n in self.nodes)
 
 
 @dataclass(frozen=True)
@@ -313,14 +311,16 @@ def grow_tree(
     rows = np.asarray(rows)
     if bins is None:
         bins = _rank_codes(matrix)
-    nodes: list[TreeNode] = []
-    # (rows, histogram, depth, index of the parent whose right child it is)
+    # A split's slot holds None until its right child's index is known.
+    nodes: list[Leaf | Branch | None] = []
+    # (rows, histogram, depth, (index, Split) of the parent whose right child it is)
     stack = [(rows, _histogram(bins, rows, grad), 0, None)]
     while stack:
         node_rows, hist, depth, parent = stack.pop()
         index = len(nodes)
-        if parent is not None:
-            nodes[parent] = replace(nodes[parent], right=index)
+        if parent is not None:  # pre-order: the parent's left child is the node after it
+            at, parent_split = parent
+            nodes[at] = Branch(parent_split.feature, parent_split.threshold, at + 1, index)
         split = None
         if depth < config.max_depth:
             split = find_best_split(node_rows, matrix, grad, config, hist)
@@ -328,11 +328,11 @@ def grow_tree(
             g_sum = float(np.sum(grad[node_rows]))
             h_sum = float(node_rows.shape[0])
             weight = config.learning_rate * leaf_weight(g_sum, h_sum, config.reg_lambda)
-            nodes.append(TreeNode(weight=weight))
+            nodes.append(Leaf(weight))
             continue
         # Pre-order: the left child is popped next, the right one after the
-        # left subtree, which fills in its index above.
-        nodes.append(TreeNode(feature=split.feature, threshold=split.threshold, left=index + 1))
+        # left subtree, which builds this Branch above.
+        nodes.append(None)
         left_rows, right_rows = _route(matrix[:, split.feature], node_rows, split.threshold)
         left = right = None  # children at max_depth are leaves
         if depth + 1 < config.max_depth:
@@ -340,7 +340,7 @@ def grow_tree(
             built = _histogram(bins, small, grad)
             derived = _Histogram(bins, hist.g - built.g, hist.h - built.h)
             left, right = (built, derived) if small is left_rows else (derived, built)
-        stack.append((right_rows, right, depth + 1, index))
+        stack.append((right_rows, right, depth + 1, (index, split)))
         stack.append((left_rows, left, depth + 1, None))
     return RegressionTree(nodes=tuple(nodes), root=0)
 
@@ -459,35 +459,26 @@ def objective_value(
     loss = 0.5 * float(np.sum((predictions - targets) ** 2))
     penalty = 0.0
     for tree in ensemble.trees:
-        weights = tree.leaf_weights()
-        penalty += gamma * tree.n_leaves + 0.5 * reg_lambda * float(np.sum(weights**2))
+        weights = np.asarray([n.weight for n in tree.nodes if isinstance(n, Leaf)], dtype=np.float64)
+        penalty += gamma * weights.size + 0.5 * reg_lambda * float(np.sum(weights**2))
     return loss + penalty
 
 
-# JSON types of a model document's parts.  A bundle written by `train` adds
-# the encoder, schema, target mode and bins; a bare ensemble has none of them.
+# JSON types of a model document's parts; a node is a Leaf or a Branch.  A
+# bundle written by `train` adds the encoder, schema, target mode and bins; a
+# bare ensemble has none of them.
 FORMAT_VERSION = 1
-_LEAF = {"weight": float}
-_SPLIT = {"feature": int, "threshold": float, "left": int, "right": int}
-_TREE = {"root": int, "nodes": list}
+_TREE = {"root": int, "nodes": tuple[dict, ...]}
 _ENSEMBLE = {"format_version": Literal[FORMAT_VERSION], "kind": Literal["ensemble"],
              "base_score": float, "learning_rate": float, "feature_layout": tuple[str, ...],
              "trees": list}
 _BUNDLE = {"pipeline": dict, "schema": list, "target_mode": str, "bins": dict | None}
-_SPLIT_VALUES = attrgetter(*_SPLIT)  # a split node's attributes, in _SPLIT's key order
 
 
 def to_json(ensemble: Ensemble) -> dict:
-    """Model document, each node keyed by the table ``from_json`` checks it
-    against; floats survive bit-exactly via shortest-round-trip text."""
-    trees = []
-    for tree in ensemble.trees:
-        nodes = [
-            {key: getattr(node, key) for key in _LEAF} if node.is_leaf
-            else dict(zip(_SPLIT, _SPLIT_VALUES(node)))
-            for node in tree.nodes
-        ]
-        trees.append({"root": tree.root, "nodes": nodes})
+    """Model document, each node keyed by the fields of its class; floats
+    survive bit-exactly via shortest-round-trip text."""
+    trees = [{"root": tree.root, "nodes": to_doc(tree.nodes)} for tree in ensemble.trees]
     return {
         "format_version": FORMAT_VERSION,
         "kind": "ensemble",
@@ -507,18 +498,15 @@ def _check_tree(doc, layout_size: int, location: str) -> RegressionTree:
     doc = check_doc(doc, _TREE, MalformedModel, location, required=_TREE.keys())
     size, root = len(doc["nodes"]), doc["root"]
     _require(0 <= root < size, location, f"bad root index {root!r} for {size} node(s)")
-    nodes: list[TreeNode] = []
+    nodes = []
     for i, node_doc in enumerate(doc["nodes"]):
         where = f"{location}.nodes[{i}]"
-        fields = _LEAF if isinstance(node_doc, dict) and "weight" in node_doc else _SPLIT
-        node = check_doc(node_doc, fields, MalformedModel, where, required=fields.keys())
-        if fields is _LEAF:
-            nodes.append(TreeNode(weight=float(node["weight"])))
-            continue
-        feature, left, right = node["feature"], node["left"], node["right"]
-        _require(0 <= feature < layout_size, where, f"feature index {feature} not in [0, {layout_size})")
-        _require(0 <= left < size and 0 <= right < size, where, f"child {left} or {right} out of range")
-        nodes.append(TreeNode(feature=feature, threshold=float(node["threshold"]), left=left, right=right))
+        node = from_doc(Leaf if "weight" in node_doc else Branch, node_doc, MalformedModel, where)
+        if isinstance(node, Branch):
+            feature, left, right = node.feature, node.left, node.right
+            _require(0 <= feature < layout_size, where, f"feature index {feature} not in [0, {layout_size})")
+            _require(0 <= left < size and 0 <= right < size, where, f"child {left} or {right} out of range")
+        nodes.append(node)
 
     seen: set[int] = set()
     stack = [root]
@@ -527,7 +515,7 @@ def _check_tree(doc, layout_size: int, location: str) -> RegressionTree:
         _require(idx not in seen, f"{location}.nodes[{idx}]", "node reached twice (cycle or shared child)")
         seen.add(idx)
         node = nodes[idx]
-        if not node.is_leaf:
+        if isinstance(node, Branch):
             stack.extend((node.left, node.right))
     _require(len(seen) == size, location, f"{size - len(seen)} node(s) unreachable from the root")
     return RegressionTree(nodes=tuple(nodes), root=root)

@@ -28,7 +28,7 @@ from .eval_harness import (
     synthetic_spec_from_json,
 )
 from .feature_pipeline import fit_pipeline, state_from_json, state_to_json, transform
-from .jsondoc import from_doc, read_json
+from .jsondoc import read_json
 from .range_binning import apply_binning, bins_to_json, default_bins
 
 # Rows `predict` parses, encodes and scores at a time: its memory peak is
@@ -59,8 +59,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     config = read_json(args.config, "train config", InvalidConfig) if args.config else {}
-    config = parse_document(config, {"model": dict}, "train config")
-    train_config = from_doc(boosted_trees.TrainConfig, config.get("model", {}), InvalidConfig, "model")
+    config = parse_document(config, {"model": boosted_trees.TrainConfig}, "train config")
+    train_config = config.get("model", boosted_trees.TrainConfig())
     schema = load_schema(args.schema) if args.schema else default_schema()
     target_mode, bins = config["target_mode"], config["bins"]
     table = load_csv(args.data, schema)

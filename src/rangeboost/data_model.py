@@ -22,7 +22,7 @@ from .errors import (
     RowArity,
     UnknownColumn,
 )
-from .jsondoc import from_doc, read_json, to_doc
+from .jsondoc import check_value, read_json, to_doc
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -244,9 +244,7 @@ def schema_to_json(schema: Sequence[ColumnSchema]) -> list[dict]:
 
 
 def schema_from_json(doc) -> tuple[ColumnSchema, ...]:
-    if not isinstance(doc, list) or not doc:
-        raise InvalidConfig("schema document must be a non-empty list of columns")
-    return _check_schema(from_doc(ColumnSchema, entry, InvalidConfig, "schema entry") for entry in doc)
+    return _check_schema(check_value(doc, tuple[ColumnSchema, ...], InvalidConfig, "schema"))
 
 
 def load_schema(path) -> tuple[ColumnSchema, ...]:

@@ -32,12 +32,11 @@ from .feature_pipeline import (
     ColorLexicon,
     ImputationPlan,
     fit_pipeline,
-    lexicon_from_json,
     plan_from_json,
     transform,
 )
 from .jsondoc import check_doc, from_doc, read_json
-from .range_binning import BinSpec, apply_binning, bins_from_json, default_bins
+from .range_binning import BinSpec, apply_binning, default_bins
 
 RAW_SALES = "raw_sales"
 BINNED_RANGE = "binned_range"
@@ -323,6 +322,8 @@ class ExperimentConfig:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if not self.models:
             raise InvalidConfig("the model roster must not be empty")
+        if self.round_predictions and self.target_mode == RAW_SALES:
+            raise InvalidConfig("round_predictions rounds to bins, which raw_sales targets do not have")
 
 
 def _fit_and_predict(model: ModelSpec, x_train, y_train, x_test, layout):
@@ -362,7 +363,7 @@ def run_experiment(config: ExperimentConfig, n_jobs: int = 1) -> list[MetricsRow
     for model in config.models:
         try:
             preds = _fit_and_predict(model, x_train, y_train, x_test, state.layout)
-            if config.round_predictions and config.target_mode == BINNED_RANGE:
+            if config.round_predictions:
                 preds = np.clip(np.rint(preds), 0, bins.n_bins - 1)
             rows.append(
                 MetricsRow(
@@ -435,39 +436,40 @@ def synthetic_spec_from_json(doc) -> SyntheticSpec:
 def parse_document(doc, fields: dict, what: str) -> dict:
     """Check an experiment or train document against the sections both
     share plus ``fields`` (key -> JSON type), and decode the shared ones:
-    ``target_mode`` (defaulted), ``bins`` (a BinSpec) and ``pipeline``
-    (replaced by ``plan`` and ``lexicon``, None when absent)."""
-    shared = {"target_mode": Literal[RAW_SALES, BINNED_RANGE], "bins": dict, "pipeline": dict}
+    ``target_mode`` (defaulted), ``bins`` (defaulted, and only for binned
+    targets) and ``pipeline`` (replaced by ``plan`` and ``lexicon``, None
+    when absent)."""
+    shared = {"target_mode": Literal[RAW_SALES, BINNED_RANGE], "bins": BinSpec, "pipeline": dict}
     doc = check_doc(doc, {**shared, **fields}, InvalidConfig, what)
-    doc.setdefault("target_mode", BINNED_RANGE)
-    doc["bins"] = bins_from_json(doc["bins"]) if "bins" in doc else default_bins()
+    if doc.setdefault("target_mode", BINNED_RANGE) == RAW_SALES and "bins" in doc:
+        raise InvalidConfig(f"{what}.bins: raw_sales targets are not binned; remove bins or use binned_range")
+    doc.setdefault("bins", default_bins())
     pipeline = check_doc(
-        doc.pop("pipeline", {}), {"plan": dict, "lexicon": dict}, InvalidConfig, "pipeline"
+        doc.pop("pipeline", {}), {"plan": dict, "lexicon": ColorLexicon}, InvalidConfig, "pipeline"
     )
     doc["plan"] = plan_from_json(pipeline["plan"]) if "plan" in pipeline else None
-    doc["lexicon"] = lexicon_from_json(pipeline["lexicon"]) if "lexicon" in pipeline else None
+    doc["lexicon"] = pipeline.get("lexicon")
     return doc
 
 
 # JSON types of the experiment's own keys, of its dataset and of a roster entry
 _EXPERIMENT_FIELDS = {"dataset": dict, "train_fraction": float, "seed": int, "models": list,
                       "round_predictions": bool, "output": str | None}
-_DATASET_FIELDS = {"csv": str, "schema": str, "synthetic": dict}
+_DATASET_FIELDS = {"csv": str, "schema": str, "synthetic": SyntheticSpec}
 _ENTRY_FIELDS = {"name": str, "kind": str, "config": dict}
 
 
 def experiment_from_json(doc) -> ExperimentConfig:
     doc = parse_document(doc, _EXPERIMENT_FIELDS, "experiment")
     dataset = check_doc(doc.pop("dataset", {}), _DATASET_FIELDS, InvalidConfig, "dataset")
-    if "synthetic" in dataset:
-        doc["synthetic"] = synthetic_spec_from_json(dataset["synthetic"])
     if "models" in doc:
         entries = [check_doc(e, _ENTRY_FIELDS, InvalidConfig, "model entry") for e in doc["models"]]
         doc["models"] = tuple(
             ModelSpec(e.get("name", e.get("kind", "?")), e.get("kind", ""), e.get("config", {}))
             for e in entries
         )
-    return ExperimentConfig(data_csv=dataset.get("csv"), schema_path=dataset.get("schema"), **doc)
+    return ExperimentConfig(data_csv=dataset.get("csv"), schema_path=dataset.get("schema"),
+                            synthetic=dataset.get("synthetic"), **doc)
 
 
 def load_experiment(path) -> ExperimentConfig:

@@ -27,7 +27,7 @@ from .data_model import (
     schema_from_json,
 )
 from .errors import EmptyTrain, InvalidConfig, NonFiniteInput, SchemaMismatch
-from .jsondoc import check_doc, from_doc, to_doc
+from .jsondoc import check_doc, check_value, from_doc, to_doc
 
 UNKNOWN_TOKEN = "unknown"
 COMPOSITE_TOKEN = "composite"
@@ -360,12 +360,8 @@ def plan_to_json(plan: ImputationPlan) -> dict:
 def plan_from_json(doc) -> ImputationPlan:
     """Each entry names its strategy; its other keys are that strategy's
     fields (``partner`` for cross_fill, ``tiers`` for hierarchical_mean)."""
-    if not isinstance(doc, dict):
-        raise InvalidConfig("imputation plan document must be an object")
     strategies = {}
-    for name, entry in doc.items():
-        if not isinstance(entry, dict):
-            raise InvalidConfig(f"plan entry {name!r} must be a JSON object, got {entry!r}")
+    for name, entry in check_value(doc, dict[str, dict], InvalidConfig, "plan").items():
         options = {k: v for k, v in entry.items() if k != "strategy"}
         kind = entry.get("strategy")
         strategy = next((cls for cls, s in _STRATEGY_NAMES.items() if s == kind), None)
@@ -373,10 +369,6 @@ def plan_from_json(doc) -> ImputationPlan:
             raise InvalidConfig(f"column {name!r}: unknown strategy {kind!r}")
         strategies[name] = from_doc(strategy, options, InvalidConfig, f"plan entry {name!r}")
     return ImputationPlan(strategies=strategies)
-
-
-def lexicon_from_json(doc) -> ColorLexicon:
-    return from_doc(ColorLexicon, doc, InvalidConfig, "colour lexicon")
 
 
 def state_to_json(state: EncoderState) -> dict:
@@ -391,8 +383,9 @@ def state_to_json(state: EncoderState) -> dict:
 
 # JSON types of an encoder state document (every key required) and of one
 # group-mean tier: [[group key values], mean] pairs.
-_STATE = {"schema": list, "plan": dict, "lexicon": dict, "vocabularies": dict[str, tuple[str, ...]],
-          "group_means": dict[str, tuple[dict, ...]], "layout": tuple[str, ...]}
+_STATE = {"schema": list, "plan": dict, "lexicon": ColorLexicon,
+          "vocabularies": dict[str, tuple[str, ...]], "group_means": dict[str, tuple[dict, ...]],
+          "layout": tuple[str, ...]}
 _TIER = {"means": tuple[tuple[tuple[str, ...], float], ...]}
 
 
@@ -432,7 +425,7 @@ def state_from_json(doc) -> EncoderState:
     return EncoderState(
         schema=schema,
         plan=plan,
-        lexicon=lexicon_from_json(doc["lexicon"]),
+        lexicon=doc["lexicon"],
         vocabularies=vocabularies,
         group_means=group_means,
         layout=layout,

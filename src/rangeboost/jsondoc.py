@@ -4,12 +4,14 @@ Every JSON document the package reads (experiment, train config, synthetic
 spec, schema, model) goes through ``read_json`` and, part by part, through
 ``check_doc``, ``from_doc`` or ``check_value``.  Each takes the caller's
 error class, so a failure maps to the exit code of the file it came from.
+A dataclass field may itself be a dataclass, read by ``from_doc`` in turn.
 Writers build their documents with ``to_doc``, the inverse of ``from_doc``,
 so a format's keys are declared once, by the dataclass both sides use.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import sys
@@ -35,9 +37,9 @@ def read_json(path, what: str, error: type[Exception]):
 
 def check_value(value, hint, error: type[Exception], where: str):
     """``value`` if it has the JSON type ``hint`` declares, with arrays
-    turned into the tuples or frozensets it names; else raise ``error``.
-    ``tuple[A, B]`` is an array of exactly those types, and ``Literal``
-    names the values allowed."""
+    turned into the tuples or frozensets it names and objects into the
+    dataclasses it names; else raise ``error``.  ``tuple[A, B]`` is an array
+    of exactly those types, and ``Literal`` names the values allowed."""
     if type(hint) is type:  # a plain type, checked without typing introspection
         if hint is float:  # exact for ints of any size; false for NaN and the infinities
             ok = _is_number(value) and abs(value) <= sys.float_info.max
@@ -47,6 +49,8 @@ def check_value(value, hint, error: type[Exception], where: str):
             ok = isinstance(value, hint)
         if ok:
             return value
+        if is_dataclass(hint):
+            return from_doc(hint, value, error, where)
         raise error(f"{where} must be {_NAMES[hint]}, got {value!r}")
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
@@ -85,11 +89,19 @@ def check_doc(doc, fields: dict, error: type[Exception], what: str, required=fro
     return {key: check_value(value, fields[key], error, f"{what}.{key}") for key, value in doc.items()}
 
 
+@functools.cache
+def _declaration(cls) -> tuple[dict, frozenset]:
+    """The field types of the dataclass ``cls`` and the names of the fields
+    without a default, worked out once per class."""
+    required = frozenset(f.name for f in dataclass_fields(cls) if f.default is f.default_factory is MISSING)
+    return typing.get_type_hints(cls), required
+
+
 def from_doc(cls, doc, error: type[Exception], what: str):
     """Build the dataclass ``cls`` from a JSON object keyed by its field
     names; the field annotations are the types ``check_doc`` checks."""
-    required = {f.name for f in dataclass_fields(cls) if f.default is f.default_factory is MISSING}
-    return cls(**check_doc(doc, typing.get_type_hints(cls), error, what, required))
+    hints, required = _declaration(cls)
+    return cls(**check_doc(doc, hints, error, what, required))
 
 
 def to_doc(value):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidConfig, NegativeValue, NonFiniteInput
@@ -22,8 +22,8 @@ class BinSpec:
     """Ascending edges defining half-open ranges [edges[i], edges[i+1]);
     the last range is closed on the right and values above it clamp into it."""
 
-    edges: tuple[float, ...] = DEFAULT_EDGES
-    labels: tuple[str, ...] = field(default=())
+    edges: tuple[float, ...]
+    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         edges = tuple(float(e) for e in self.edges)
@@ -51,7 +51,7 @@ class BinSpec:
 
 
 def default_bins() -> BinSpec:
-    return BinSpec()
+    return BinSpec(DEFAULT_EDGES)
 
 
 def bin_of(value: float, spec: BinSpec | None = None) -> int:
@@ -83,6 +83,4 @@ def bins_to_json(spec: BinSpec) -> dict:
 
 
 def bins_from_json(doc) -> BinSpec:
-    if not isinstance(doc, dict) or "edges" not in doc:
-        raise InvalidConfig("bin spec document must be an object with an 'edges' array")
     return from_doc(BinSpec, doc, InvalidConfig, "bins")

@@ -11,9 +11,9 @@ from rangeboost.baseline_models import (
     fit_linear_svr,
     fit_ols,
     linear_to_json,
-    predict_linear,
     svr_objective,
 )
+from rangeboost.boosted_trees import Leaf
 from rangeboost.errors import EmptyData, InvalidConfig, LayoutMismatch, NonFiniteInput
 
 
@@ -142,7 +142,7 @@ def test_gbdt_respects_min_samples_leaf():
         while stack:
             idx, rows = stack.pop()
             node = tree.nodes[idx]
-            if node.is_leaf:
+            if isinstance(node, Leaf):
                 sizes.append(len(rows))
             else:
                 mask = matrix[rows, node.feature] < node.threshold
@@ -208,18 +208,18 @@ def test_svr_deterministic():
 
 def test_predict_linear_basics():
     model = LinearModel(weights=(0.0, 0.0), intercept=1.5)
-    assert np.all(predict_linear(model, np.zeros((4, 2))) == 1.5)
+    assert np.all(model.predict(np.zeros((4, 2))) == 1.5)
     unit = LinearModel(weights=(0.0, 2.0), intercept=1.0)
     one_hot = np.array([[0.0, 1.0]])
-    assert predict_linear(unit, one_hot)[0] == 3.0
-    scaled = predict_linear(unit, 3.0 * one_hot)[0] - unit.intercept
-    assert scaled == 3.0 * (predict_linear(unit, one_hot)[0] - unit.intercept)
+    assert unit.predict(one_hot)[0] == 3.0
+    scaled = unit.predict(3.0 * one_hot)[0] - unit.intercept
+    assert scaled == 3.0 * (unit.predict(one_hot)[0] - unit.intercept)
 
 
 def test_predict_linear_layout_mismatch():
     model = LinearModel(weights=(1.0,), intercept=0.0)
     with pytest.raises(LayoutMismatch):
-        predict_linear(model, np.zeros((2, 3)))
+        model.predict(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -8,10 +8,11 @@ from oracles import enumerate_best_split, golden_section_minimize, leaf_objectiv
 from rangeboost import boosted_trees
 from rangeboost.baseline_models import GbdtBaselineConfig, fit_gbdt_first_order
 from rangeboost.boosted_trees import (
+    Branch,
     Ensemble,
+    Leaf,
     RegressionTree,
     TrainConfig,
-    TreeNode,
     find_best_split,
     from_json,
     grow_tree,
@@ -235,7 +236,7 @@ def test_grow_tree_depth_one_bound():
     config = TrainConfig(max_depth=1, reg_lambda=0.0, min_child_weight=0.0)
     tree = grow_tree(np.arange(4), matrix, grad, config)
     assert len(tree.nodes) in (1, 3)
-    assert sum(1 for node in tree.nodes if not node.is_leaf) <= 1
+    assert sum(isinstance(node, Branch) for node in tree.nodes) <= 1
 
 
 def _grow_tree_oracle_cases():
@@ -274,7 +275,7 @@ def test_grow_tree_every_node_matches_oracle(max_depth, monkeypatch):
             index, rows, depth = stack.pop()
             node = tree.nodes[index]
             oracle = enumerate_best_split(matrix, rows, grad, hess, lam, 0.0, 1.0)
-            if node.is_leaf:
+            if isinstance(node, Leaf):
                 assert oracle is None or depth == config.max_depth
                 g_sum, h_sum = float(np.sum(grad[rows])), float(np.sum(hess[rows]))
                 assert node.weight == config.learning_rate * leaf_weight(g_sum, h_sum, lam)
@@ -502,7 +503,7 @@ def test_predict_additivity():
 
 def _route_one_row(tree, row):
     node = tree.nodes[tree.root]
-    while not node.is_leaf:
+    while isinstance(node, Branch):
         node = tree.nodes[node.left if row[node.feature] < node.threshold else node.right]
     return node.weight
 
@@ -513,7 +514,7 @@ def test_routing_ignores_memory_layout():
     model = train(train_matrix, rng.normal(size=60), TrainConfig(n_trees=4, max_depth=3))
     rows = [train_matrix]
     for tree in model.trees:
-        for node in (n for n in tree.nodes if not n.is_leaf):
+        for node in (n for n in tree.nodes if isinstance(n, Branch)):
             at = np.tile(rng.normal(size=4), (3, 1))
             at[:, node.feature] = [
                 np.nextafter(node.threshold, -np.inf),
@@ -615,7 +616,7 @@ def test_predict_rejects_a_non_finite_cell(bad):
 
 
 def test_single_leaf_prediction():
-    tree = RegressionTree(nodes=(TreeNode(weight=0.7),))
+    tree = RegressionTree(nodes=(Leaf(weight=0.7),))
     model = Ensemble(trees=(tree,), base_score=0.0, learning_rate=1.0, feature_layout=("x",))
     assert np.all(model.predict(np.zeros((4, 1))) == 0.7)
 
@@ -625,7 +626,7 @@ def test_objective_value_cases():
     empty = Ensemble(trees=(), base_score=3.0, learning_rate=0.1, feature_layout=("x",))
     assert objective_value(empty, matrix, np.array([3.0, 3.0]), 1.0, 1.0) == 0.0
 
-    leaf_tree = RegressionTree(nodes=(TreeNode(weight=1.0),))
+    leaf_tree = RegressionTree(nodes=(Leaf(weight=1.0),))
     model = Ensemble(trees=(leaf_tree,), base_score=0.0, learning_rate=1.0, feature_layout=("x",))
     assert objective_value(model, matrix, np.array([1.0, 1.0]), 2.0, 3.0) == 4.0
 
@@ -641,7 +642,7 @@ def test_objective_drops_when_positive_gain_split_applied():
     stump = grow_tree(np.arange(5), matrix, grad, stump_config)
     assert len(stump.nodes) == 3
     leaf_only = RegressionTree(
-        nodes=(TreeNode(weight=leaf_weight(float(grad.sum()), 5.0, lam)),)
+        nodes=(Leaf(weight=leaf_weight(float(grad.sum()), 5.0, lam)),)
     )
     layout = ("x",)
     with_split = objective_value(

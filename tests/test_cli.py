@@ -255,6 +255,7 @@ MALFORMED_INPUTS = {
         2,
     ),
     "train-schema-categorical-target": ("train", "--schema", CATEGORICAL_TARGET, 2),
+    "train-schema-empty-list": ("train", "--schema", [], 2),
     "experiment-schema-categorical-target": (
         "compare",
         "--experiment",
@@ -263,6 +264,25 @@ MALFORMED_INPUTS = {
     ),
     "model-schema-categorical-target": ("predict", "--model", _categorical_target, 4),
     "bins-edges-string": ("train", "--config", {"bins": {"edges": "ab"}}, 2),
+    "train-config-bins-without-edges": ("train", "--config", {"bins": {"labels": ["all"]}}, 2),
+    "train-config-raw-sales-with-bins": (
+        "train",
+        "--config",
+        {"target_mode": "raw_sales", "bins": {"edges": [0, 10, 100]}},
+        2,
+    ),
+    "experiment-raw-sales-with-bins": (
+        "compare",
+        "--experiment",
+        {**TINY_EXPERIMENT, "target_mode": "raw_sales", "bins": {"edges": [0, 10, 100]}},
+        2,
+    ),
+    "experiment-raw-sales-round-predictions": (
+        "compare",
+        "--experiment",
+        {**TINY_EXPERIMENT, "target_mode": "raw_sales", "round_predictions": True},
+        2,
+    ),
     "bins-first-edge-above-zero": ("train", "--config", {"bins": {"edges": [10, 20, 30]}}, 2),
     "experiment-bins-first-edge-above-zero": (
         "compare",
@@ -377,6 +397,7 @@ MALFORMED_INPUTS = {
         4,
     ),
     "model-kind-linear": ("predict", "--model", lambda d: d.update(kind="linear"), 4),
+    "model-lexicon-not-object": ("predict", "--model", lambda d: d["pipeline"].update(lexicon=["red"]), 4),
     "model-unknown-key": ("predict", "--model", lambda d: d.update(weights=[]), 4),
     "model-target-mode-number": ("predict", "--model", lambda d: d.update(target_mode=42), 4),
     "model-bins-string": ("predict", "--model", lambda d: d.update(bins="x"), 4),

@@ -253,7 +253,7 @@ def test_render_report_failed_row_and_bad_format():
 def test_experiment_from_json_full_document():
     doc = {
         "dataset": {"synthetic": {"n_products": 200, "seed": 3}},
-        "target_mode": "raw_sales",
+        "target_mode": "binned_range",
         "bins": {"edges": [0, 10, 100]},
         "train_fraction": 0.75,
         "seed": 11,
@@ -265,13 +265,23 @@ def test_experiment_from_json_full_document():
         "output": "report.txt",
     }
     config = experiment_from_json(doc)
-    assert config.synthetic.n_products == 200
-    assert config.target_mode == "raw_sales"
+    assert config.synthetic == SyntheticSpec(n_products=200, seed=3)
+    assert config.target_mode == "binned_range"
     assert config.bins.edges == (0.0, 10.0, 100.0)
     assert config.train_fraction == 0.75
     assert config.models[0].config == {"n_trees": 5}
     assert config.models[1].name == "ols"
+    assert config.round_predictions
     assert config.output == "report.txt"
+
+
+def test_raw_sales_takes_neither_bins_nor_rounding():
+    raw = {"dataset": {"synthetic": {}}, "target_mode": "raw_sales"}
+    assert experiment_from_json(raw).target_mode == "raw_sales"
+    with pytest.raises(InvalidConfig, match=r"^experiment\.bins: raw_sales"):
+        experiment_from_json({**raw, "bins": {"edges": [0, 10, 100]}})
+    with pytest.raises(InvalidConfig, match="round_predictions"):
+        experiment_from_json({**raw, "round_predictions": True})
 
 
 def test_experiment_from_json_rejects_bad_documents():
