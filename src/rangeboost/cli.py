@@ -19,6 +19,7 @@ from .data_model import DataTable, default_schema, load_csv, load_schema, read_r
 from .errors import ConfigError, DataError, InvalidConfig, InvalidSpec, MalformedModel, ModelError
 from .eval_harness import (
     BINNED_RANGE,
+    RAW_SALES,
     SyntheticSpec,
     generate_synthetic,
     load_experiment,
@@ -29,7 +30,7 @@ from .eval_harness import (
 )
 from .feature_pipeline import fit_pipeline, state_from_json, state_to_json, transform
 from .jsondoc import read_json
-from .range_binning import apply_binning, bins_to_json, default_bins
+from .range_binning import apply_binning, bins_from_json, bins_to_json, default_bins
 
 # Rows `predict` parses, encodes and scores at a time: its memory peak is
 # set by one block, not by the file's length.  Smaller blocks add routing
@@ -95,10 +96,17 @@ def _predict_block(ensemble, state, rows) -> np.ndarray:
 def _cmd_predict(args) -> int:
     document = boosted_trees.load_model(args.model)
     ensemble = boosted_trees.from_json(document)
+    target_mode, bins = document.get("target_mode"), document.get("bins")
+    if target_mode not in (RAW_SALES, BINNED_RANGE):
+        raise MalformedModel(f"model file {args.model}: unknown target_mode {target_mode!r}")
+    if (target_mode == RAW_SALES) != (bins is None):
+        raise MalformedModel(f"model file {args.model}: bins must be null exactly under {RAW_SALES}")
     try:
         state = state_from_json(document.get("pipeline"))
+        if bins is not None:
+            bins_from_json(bins)
     except ConfigError as exc:
-        raise MalformedModel(f"model file {args.model}: bad embedded pipeline: {exc}") from exc
+        raise MalformedModel(f"model file {args.model}: bad embedded pipeline or bins: {exc}") from exc
     if document.get("schema") != document["pipeline"]["schema"]:
         raise MalformedModel(f"model file {args.model}: its schema differs from pipeline.schema")
     if ensemble.feature_layout != state.layout:

@@ -129,9 +129,7 @@ def parse_numeric(text: str) -> float | None:
     """Parse a numeric cell; currency symbols and thousands separators are
     tolerated.  Anything unparseable or non-finite is missing."""
     s = text.strip()
-    if s.lower() in MISSING_TOKENS:
-        return None
-    try:
+    try:  # the missing tokens fail both attempts too
         value = float(s)
     except ValueError:
         stripped = s.lstrip(_CURRENCY_SYMBOLS).replace(",", "").strip()
@@ -171,14 +169,16 @@ def read_rows(path, schema: Sequence[ColumnSchema], allow_missing_target: bool =
             header = next(reader, None)
             if header is None:
                 raise MissingColumn(f"{path}: file has no header row")
-            positions: dict[str, int | None] = {}
+            # One (field position, parser) pair per schema column, in schema order.
+            parsers = []
             for col in schema:
                 if header.count(col.name) > 1:
                     raise DataError(f"{path}: column {col.name!r} appears more than once in the header")
                 if col.name in header:
-                    positions[col.name] = header.index(col.name)
+                    parse = parse_numeric if col.kind == NUMERIC else parse_categorical
+                    parsers.append((header.index(col.name), parse))
                 elif col.role == TARGET and allow_missing_target:
-                    positions[col.name] = None
+                    parsers.append((0, lambda text: None))  # every row read has a field 0
                 else:
                     raise MissingColumn(f"{path}: column {col.name!r} not in header")
             for fields in reader:
@@ -188,16 +188,7 @@ def read_rows(path, schema: Sequence[ColumnSchema], allow_missing_target: bool =
                     raise RowArity(
                         f"line {reader.line_num}: expected {len(header)} fields, got {len(fields)}"
                     )
-                cells = []
-                for col in schema:
-                    pos = positions[col.name]
-                    if pos is None:
-                        cells.append(None)
-                    elif col.kind == NUMERIC:
-                        cells.append(parse_numeric(fields[pos]))
-                    else:
-                        cells.append(parse_categorical(fields[pos]))
-                yield tuple(cells)
+                yield tuple([parse(fields[pos]) for pos, parse in parsers])
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"{path}: {exc}") from exc
 

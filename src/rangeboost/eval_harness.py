@@ -224,20 +224,20 @@ def generate_synthetic(spec: SyntheticSpec | None = None) -> DataTable:
         "Brand": brands,
         "Colour": colours,
         "Manufacturer": manufacturers,
-        "Price": [float(v) for v in price],
-        "Rating": [float(v) for v in rating],
-        "Number of Rating": [float(v) for v in review_counts],
-        "Shipment": [float(v) for v in shipment],
-        "Weight Pounds": [float(v) for v in weight],
-        "Sales": [float(v) for v in sales],
+        "Price": price.tolist(),
+        "Rating": rating.tolist(),
+        "Number of Rating": review_counts.tolist(),
+        "Shipment": shipment.tolist(),
+        "Weight Pounds": weight.tolist(),
+        "Sales": sales.tolist(),
     }
     for col in schema:
         rate = spec.missing_rates.get(col.name, 0.0)
         if rate <= 0.0:
             continue
-        mask = rng.random(n) < rate
-        values = columns[col.name]
-        columns[col.name] = [None if mask[i] else values[i] for i in range(n)]
+        values = columns[col.name]  # a list of this call's own, so set in place
+        for i in np.flatnonzero(rng.random(n) < rate).tolist():
+            values[i] = None
 
     return DataTable(schema, tuple(zip(*(columns[col.name] for col in schema))))
 

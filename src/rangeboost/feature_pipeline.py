@@ -97,6 +97,8 @@ def normalize_color(raw: str, lexicon: ColorLexicon | None = None) -> str:
 class ZeroFill:
     """Missing means zero (ratings, review counts, sales)."""
 
+    tiers = ()  # not a field: a hierarchical-mean ladder with no tiers
+
 
 @dataclass(frozen=True)
 class CrossFill:
@@ -213,19 +215,14 @@ def _resolve_categoricals(table: DataTable, plan: ImputationPlan, lexicon: Color
         raw = columns[col.name]
         if isinstance(strat, CrossFill):
             partner = columns[strat.partner] if strat.partner else [None] * table.n
-            values = []
-            for own, other in zip(raw, partner):
-                if own is not None:
-                    values.append(own)
-                elif other is not None:
-                    values.append(other)
-                else:
-                    values.append(UNKNOWN_TOKEN)
-            resolved[col.name] = values
+            resolved[col.name] = [
+                own if own is not None else other if other is not None else UNKNOWN_TOKEN
+                for own, other in zip(raw, partner)
+            ]
         else:  # ColorNormalize, the only other categorical strategy
             # One call per distinct raw colour: catalogs repeat a few listings.
             normalized = {v: normalize_color(v, lexicon) for v in set(raw) if v is not None}
-            resolved[col.name] = [None if v is None else normalized[v] for v in raw]
+            resolved[col.name] = list(map(normalized.get, raw))  # None stays None
     return resolved
 
 
@@ -317,23 +314,21 @@ def transform(table: DataTable, state: EncoderState) -> tuple[np.ndarray, np.nda
 
     numeric = _numeric_features(table.schema)
     for j, col in enumerate(numeric):
-        strat = state.plan.strategies[col.name]
-        values = table.column(col.name)
-        if isinstance(strat, ZeroFill):
-            filled = [0.0 if v is None else v for v in values]
-        else:  # HierarchicalMean: the first tier that saw a row's group fills it
-            filled = list(values)
-            pending = [i for i, v in enumerate(values) if v is None]
-            for tier, means in zip(strat.tiers, state.group_means[col.name]):
-                unseen = []
-                for i, key in zip(pending, _group_keys(tier, resolved, pending)):
-                    if key in means:
-                        filled[i] = means[key]
-                    else:
-                        unseen.append(i)
-                pending = unseen
-            for i in pending:
-                filled[i] = 0.0
+        # The first tier that saw a row's group fills it, and 0.0 fills the
+        # rest: ZeroFill has no tiers.
+        tiers = state.plan.strategies[col.name].tiers
+        filled = table.column(col.name)
+        pending = [i for i, v in enumerate(filled) if v is None]
+        for tier, means in zip(tiers, state.group_means.get(col.name, ())):
+            unseen = []
+            for i, key in zip(pending, _group_keys(tier, resolved, pending)):
+                if key in means:
+                    filled[i] = means[key]
+                else:
+                    unseen.append(i)
+            pending = unseen
+        for i in pending:
+            filled[i] = 0.0
         matrix[:, j] = filled
 
     offset = len(numeric)

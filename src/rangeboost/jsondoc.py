@@ -91,10 +91,11 @@ def check_doc(doc, fields: dict, error: type[Exception], what: str, required=fro
 
 @functools.cache
 def _declaration(cls) -> tuple[dict, frozenset]:
-    """The field types of the dataclass ``cls`` and the names of the fields
-    without a default, worked out once per class."""
-    required = frozenset(f.name for f in dataclass_fields(cls) if f.default is f.default_factory is MISSING)
-    return typing.get_type_hints(cls), required
+    """The field types of the dataclass ``cls`` in declaration order and the
+    names of the fields without a default, worked out once per class."""
+    fields, hints = dataclass_fields(cls), typing.get_type_hints(cls)
+    required = frozenset(f.name for f in fields if f.default is f.default_factory is MISSING)
+    return {f.name: hints[f.name] for f in fields}, required
 
 
 def from_doc(cls, doc, error: type[Exception], what: str):
@@ -108,8 +109,10 @@ def to_doc(value):
     """The JSON value ``from_doc`` reads back as ``value``: a dataclass is an
     object of its fields in declaration order, tuples and lists are arrays,
     frozensets sorted arrays, dicts keep their keys, anything else is itself."""
+    if value is None or type(value) in (int, float, str):  # most of a model's values
+        return value
     if is_dataclass(value):
-        return {f.name: to_doc(getattr(value, f.name)) for f in dataclass_fields(value)}
+        return {name: to_doc(getattr(value, name)) for name in _declaration(type(value))[0]}
     if isinstance(value, (tuple, list, frozenset)):
         items = [to_doc(v) for v in value]
         return sorted(items) if isinstance(value, frozenset) else items

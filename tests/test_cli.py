@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -80,23 +81,50 @@ def test_train_and_predict_round_trip(tmp_path, synth_csv):
 
 
 def test_predict_accepts_data_without_target(tmp_path, synth_csv):
-    import csv
-
+    """Columns are matched by header name: the file without its target
+    column, and the file with its columns in reverse order, score to the
+    bytes of the full file."""
     model_path = tmp_path / "model.json"
     assert main(["train", "--data", str(synth_csv), "--model-out", str(model_path)]) == 0
     with synth_csv.open(newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
     sales_idx = rows[0].index("Sales")
-    no_target = tmp_path / "new.csv"
-    with no_target.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        for row in rows:
-            writer.writerow([v for i, v in enumerate(row) if i != sales_idx])
-    preds_path = tmp_path / "preds.csv"
-    assert (
-        main(["predict", "--model", str(model_path), "--data", str(no_target), "--out", str(preds_path)])
-        == 0
-    )
+    layouts = {
+        "no-target": [[v for i, v in enumerate(row) if i != sales_idx] for row in rows],
+        "reversed": [row[::-1] for row in rows],
+    }
+    assert _predict(model_path, synth_csv, tmp_path / "full-preds.csv") == 0
+    expected = (tmp_path / "full-preds.csv").read_bytes()
+    for name, layout_rows in layouts.items():
+        data = tmp_path / f"{name}.csv"
+        with data.open("w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(layout_rows)
+        assert _predict(model_path, data, tmp_path / f"{name}-preds.csv") == 0
+        assert (tmp_path / f"{name}-preds.csv").read_bytes() == expected, name
+
+
+# SHA-256 of the synth CSV, the 20-tree train bundle on it and that bundle's
+# predictions for it.  A change that promises the same output bytes keeps
+# these; one that moves a byte of parsing, encoding, training or writing
+# fails here, not only in the benchmark's checks.
+PINNED_SHA256 = {
+    "data.csv": "d3963fb6ec8454f07e50f2abdc388b961755fb1739175150ba45259619404365",
+    "model.json": "8b75a690e67ebe56ea279ee54adeeeea6ed118a6342b120b3ec1ac9f7e67c75c",
+    "preds.csv": "9fc6556171c3588a251d95994d3a530347d0bdb06adb37cbf442c13b7e6fece2",
+}
+
+
+def test_synth_train_predict_bytes_are_pinned(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_products": 300, "seed": 11}), encoding="utf-8")
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"model": {"n_trees": 20}}), encoding="utf-8")
+    data, model, preds = (tmp_path / name for name in PINNED_SHA256)
+    assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--config", str(config), "--model-out", str(model)]) == 0
+    assert _predict(model, data, preds) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (data, model, preds)}
+    assert digests == PINNED_SHA256
 
 
 def test_compare_writes_reports(tmp_path, capsys):
@@ -401,6 +429,11 @@ MALFORMED_INPUTS = {
     "model-unknown-key": ("predict", "--model", lambda d: d.update(weights=[]), 4),
     "model-target-mode-number": ("predict", "--model", lambda d: d.update(target_mode=42), 4),
     "model-bins-string": ("predict", "--model", lambda d: d.update(bins="x"), 4),
+    "model-target-mode-unknown": ("predict", "--model", lambda d: d.update(target_mode="banana"), 4),
+    "model-bins-edges-descending": ("predict", "--model", lambda d: d["bins"].update(edges=[5, 1]), 4),
+    "model-bins-unknown-key": ("predict", "--model", lambda d: d["bins"].update(colour="red"), 4),
+    "model-raw-sales-with-bins": ("predict", "--model", lambda d: d.update(target_mode="raw_sales"), 4),
+    "model-binned-range-bins-null": ("predict", "--model", lambda d: d.update(bins=None), 4),
     "model-group-mean-bool": (
         "predict",
         "--model",

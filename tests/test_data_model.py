@@ -120,6 +120,13 @@ def test_currency_and_thousands_separators_parse():
     assert parse_numeric("£100") == 100.0
 
 
+@pytest.mark.parametrize(
+    "text", ["", "   ", "na", "NA", "Na", " nA ", "n/a", "N/A", " N/a ", "$n/a", "£NA", "nan", "NaN", "inf", "-inf"]
+)
+def test_parse_numeric_reads_missing_tokens_and_non_finite_as_missing(text):
+    assert parse_numeric(text) is None
+
+
 def test_non_finite_inputs_become_missing(tmp_path):
     path = write_table(
         tmp_path,
