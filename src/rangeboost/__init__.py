@@ -49,7 +49,6 @@ from .eval_harness import (
 from .feature_pipeline import (
     ColorLexicon,
     EncoderState,
-    ImputationPlan,
     default_plan,
     fit_pipeline,
     normalize_color,

@@ -39,7 +39,7 @@ def fit_ols(matrix, targets) -> LinearModel:
 def _ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     """Posterior-mean weights (X'X + alpha I)^-1 X'y of the Gaussian linear
     model with an isotropic prior of precision alpha."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise InvalidConfig(f"prior precision must be positive, got {alpha}")
     gram = X.T @ X + alpha * np.eye(X.shape[1])
     moment = X.T @ y
@@ -67,7 +67,7 @@ class GbdtBaselineConfig:
     min_samples_leaf: int = 1
 
     def __post_init__(self):
-        if self.min_samples_leaf < 1:
+        if not self.min_samples_leaf >= 1:
             raise InvalidConfig(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
         self.train_config()  # checks n_trees, learning_rate and max_depth
 
@@ -109,15 +109,15 @@ class SvrConfig:
     epochs: int = 300
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise InvalidConfig(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.c <= 0:
+        if not self.c > 0:
             raise InvalidConfig(f"regularization c must be > 0, got {self.c}")
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise InvalidConfig(f"step_size must be > 0, got {self.step_size}")
-        if self.step_decay < 0:
+        if not self.step_decay >= 0:
             raise InvalidConfig(f"step_decay must be >= 0, got {self.step_decay}")
-        if self.epochs < 0:
+        if not self.epochs >= 0:
             raise InvalidConfig(f"epochs must be >= 0, got {self.epochs}")
 
 

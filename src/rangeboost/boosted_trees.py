@@ -62,7 +62,8 @@ def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
 class TrainConfig:
     """Hyperparameters for the second-order learner.
 
-    ``base_score=None`` means "use the training-target mean".
+    ``base_score=None`` means "use the training-target mean".  Every bound
+    is written so that NaN fails it.
     """
 
     n_trees: int = 200
@@ -74,18 +75,20 @@ class TrainConfig:
     base_score: float | None = None
 
     def __post_init__(self):
-        if self.n_trees < 0:
+        if not self.n_trees >= 0:
             raise InvalidConfig(f"n_trees must be >= 0, got {self.n_trees}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise InvalidConfig(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if self.reg_lambda < 0.0:
+        if not self.reg_lambda >= 0.0:
             raise InvalidConfig(f"reg_lambda must be >= 0, got {self.reg_lambda}")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise InvalidConfig(f"gamma must be >= 0, got {self.gamma}")
-        if self.max_depth < 1:
+        if not self.max_depth >= 1:
             raise InvalidConfig(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_child_weight < 0.0:
+        if not self.min_child_weight >= 0.0:
             raise InvalidConfig(f"min_child_weight must be >= 0, got {self.min_child_weight}")
+        if self.base_score is not None and not np.isfinite(self.base_score):
+            raise InvalidConfig(f"base_score must be finite or null, got {self.base_score}")
 
 
 @dataclass(frozen=True)
@@ -118,12 +121,11 @@ def _route(column: np.ndarray, rows: np.ndarray, threshold: float) -> tuple[np.n
 
 @dataclass(frozen=True)
 class RegressionTree:
-    nodes: tuple[Leaf | Branch, ...]
-    root: int = 0
+    nodes: tuple[Leaf | Branch, ...]  # nodes[0] is the root
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
         out = np.empty(matrix.shape[0], dtype=np.float64)
-        stack = [(self.root, np.arange(matrix.shape[0]))]
+        stack = [(0, np.arange(matrix.shape[0]))]
         while stack:
             idx, rows = stack.pop()
             node = self.nodes[idx]
@@ -342,7 +344,7 @@ def grow_tree(
             left, right = (built, derived) if small is left_rows else (derived, built)
         stack.append((right_rows, right, depth + 1, (index, split)))
         stack.append((left_rows, left, depth + 1, None))
-    return RegressionTree(nodes=tuple(nodes), root=0)
+    return RegressionTree(nodes=tuple(nodes))
 
 
 def check_fit_inputs(matrix, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -427,8 +429,9 @@ def train(
 
     trees: list[RegressionTree] = []
     for _ in range(config.n_trees):
-        grad = predictions - targets
-        grad_sum = float(np.abs(grad).sum())
+        with np.errstate(over="ignore"):  # an overflowing sum fails the check below
+            grad = predictions - targets
+            grad_sum = float(np.abs(grad).sum())
         if not grad_sum <= _MAX_GRAD_SUM:
             raise NonFiniteInput(
                 f"gradient sum {grad_sum:.3g} would overflow the split gains "
@@ -468,7 +471,7 @@ def objective_value(
 # bundle written by `train` adds the encoder, schema, target mode and bins; a
 # bare ensemble has none of them.
 FORMAT_VERSION = 1
-_TREE = {"root": int, "nodes": tuple[dict, ...]}
+_TREE = {"root": Literal[0], "nodes": tuple[dict, ...]}
 _ENSEMBLE = {"format_version": Literal[FORMAT_VERSION], "kind": Literal["ensemble"],
              "base_score": float, "learning_rate": float, "feature_layout": tuple[str, ...],
              "trees": list}
@@ -478,7 +481,7 @@ _BUNDLE = {"pipeline": dict, "schema": list, "target_mode": str, "bins": dict | 
 def to_json(ensemble: Ensemble) -> dict:
     """Model document, each node keyed by the fields of its class; floats
     survive bit-exactly via shortest-round-trip text."""
-    trees = [{"root": tree.root, "nodes": to_doc(tree.nodes)} for tree in ensemble.trees]
+    trees = [{"root": 0, "nodes": to_doc(tree.nodes)} for tree in ensemble.trees]
     return {
         "format_version": FORMAT_VERSION,
         "kind": "ensemble",
@@ -496,8 +499,8 @@ def _require(condition: bool, location: str, message: str) -> None:
 
 def _check_tree(doc, layout_size: int, location: str) -> RegressionTree:
     doc = check_doc(doc, _TREE, MalformedModel, location, required=_TREE.keys())
-    size, root = len(doc["nodes"]), doc["root"]
-    _require(0 <= root < size, location, f"bad root index {root!r} for {size} node(s)")
+    size = len(doc["nodes"])
+    _require(size > 0, location, "a tree needs at least one node")
     nodes = []
     for i, node_doc in enumerate(doc["nodes"]):
         where = f"{location}.nodes[{i}]"
@@ -509,7 +512,7 @@ def _check_tree(doc, layout_size: int, location: str) -> RegressionTree:
         nodes.append(node)
 
     seen: set[int] = set()
-    stack = [root]
+    stack = [0]
     while stack:
         idx = stack.pop()
         _require(idx not in seen, f"{location}.nodes[{idx}]", "node reached twice (cycle or shared child)")
@@ -518,7 +521,7 @@ def _check_tree(doc, layout_size: int, location: str) -> RegressionTree:
         if isinstance(node, Branch):
             stack.extend((node.left, node.right))
     _require(len(seen) == size, location, f"{size - len(seen)} node(s) unreachable from the root")
-    return RegressionTree(nodes=tuple(nodes), root=root)
+    return RegressionTree(nodes=tuple(nodes))
 
 
 def from_json(doc) -> Ensemble:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import boosted_trees
 from .data_model import DataTable, default_schema, load_csv, load_schema, read_rows, schema_to_json, write_csv
-from .errors import ConfigError, DataError, InvalidConfig, InvalidSpec, MalformedModel, ModelError
+from .errors import ConfigError, DataError, InvalidConfig, MalformedModel, ModelError
 from .eval_harness import (
     BINNED_RANGE,
     RAW_SALES,
@@ -50,7 +50,7 @@ def _writing(path):
 def _cmd_synth(args) -> int:
     spec = SyntheticSpec()
     if args.spec:
-        spec = synthetic_spec_from_json(read_json(args.spec, "synthetic spec", InvalidSpec))
+        spec = synthetic_spec_from_json(read_json(args.spec, "synthetic spec", InvalidConfig))
     table = generate_synthetic(spec)
     with _writing(args.out):
         write_csv(table, args.out)

@@ -21,10 +21,6 @@ class InvalidConfig(ConfigError):
     pass
 
 
-class InvalidSpec(ConfigError):
-    pass
-
-
 class MissingColumn(DataError):
     pass
 

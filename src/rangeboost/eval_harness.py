@@ -27,14 +27,8 @@ from .baseline_models import (
 )
 from .boosted_trees import TrainConfig, train
 from .data_model import DataTable, default_schema, load_csv, load_schema, split_train_test
-from .errors import EmptyData, InvalidConfig, InvalidSpec, LengthMismatch
-from .feature_pipeline import (
-    ColorLexicon,
-    ImputationPlan,
-    fit_pipeline,
-    plan_from_json,
-    transform,
-)
+from .errors import EmptyData, InvalidConfig, LengthMismatch
+from .feature_pipeline import ColorLexicon, fit_pipeline, plan_from_json, transform
 from .jsondoc import check_doc, from_doc, read_json
 from .range_binning import BinSpec, apply_binning, default_bins
 
@@ -152,21 +146,21 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if not 10 <= self.n_products <= MAX_PRODUCTS:
-            raise InvalidSpec(f"n_products must be in [10, {MAX_PRODUCTS:,}], got {self.n_products}")
+            raise InvalidConfig(f"n_products must be in [10, {MAX_PRODUCTS:,}], got {self.n_products}")
         if not self.categories:
-            raise InvalidSpec("at least one category is required")
+            raise InvalidConfig("at least one category is required")
         if not 1 <= self.brand_count <= MAX_PRODUCTS:  # every brand is built before any row
-            raise InvalidSpec(f"brand_count must be in [1, {MAX_PRODUCTS:,}], got {self.brand_count}")
-        if self.noise_scale < 0:
-            raise InvalidSpec(f"noise_scale must be >= 0, got {self.noise_scale}")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
+            raise InvalidConfig(f"brand_count must be in [1, {MAX_PRODUCTS:,}], got {self.brand_count}")
+        if not self.noise_scale >= 0:
+            raise InvalidConfig(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if not self.seed >= 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         unknown = self.missing_rates.keys() - {c.name for c in default_schema()}
         if unknown:
-            raise InvalidSpec(f"missing rates name columns not in the schema: {sorted(unknown)}")
+            raise InvalidConfig(f"missing rates name columns not in the schema: {sorted(unknown)}")
         for name, rate in self.missing_rates.items():
             if not 0.0 <= rate <= 1.0:
-                raise InvalidSpec(f"missing rate for {name!r} must be in [0, 1], got {rate}")
+                raise InvalidConfig(f"missing rate for {name!r} must be in [0, 1], got {rate}")
 
 
 def generate_synthetic(spec: SyntheticSpec | None = None) -> DataTable:
@@ -276,7 +270,7 @@ class ModelSpec:
         target, what = _MODELS[self.kind][0], f"{self.kind} config"
         if isinstance(target, dict):
             settings = check_doc(self.config, target, InvalidConfig, what)
-            if settings.get("alpha", 1.0) <= 0:
+            if not settings.get("alpha", 1.0) > 0:
                 raise InvalidConfig(f"prior precision must be positive, got {settings['alpha']}")
         else:
             settings = from_doc(target, self.config, InvalidConfig, what)
@@ -304,7 +298,7 @@ class ExperimentConfig:
     train_fraction: float = 0.8
     seed: int = 7
     models: tuple[ModelSpec, ...] = field(default_factory=default_models)
-    plan: ImputationPlan | None = None
+    plan: dict | None = None
     lexicon: ColorLexicon | None = None
     round_predictions: bool = False
     output: str | None = None
@@ -318,7 +312,7 @@ class ExperimentConfig:
             raise InvalidConfig(f"unknown target mode {self.target_mode!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidConfig(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if not self.models:
             raise InvalidConfig("the model roster must not be empty")
@@ -430,7 +424,7 @@ def render_report(rows: Sequence[MetricsRow], fmt: str = "table") -> str:
 # ---------------------------------------------------------------------------
 
 def synthetic_spec_from_json(doc) -> SyntheticSpec:
-    return from_doc(SyntheticSpec, doc, InvalidSpec, "synthetic spec")
+    return from_doc(SyntheticSpec, doc, InvalidConfig, "synthetic spec")
 
 
 def parse_document(doc, fields: dict, what: str) -> dict:

@@ -129,36 +129,29 @@ _STRATEGY_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class ImputationPlan:
-    """Exactly one strategy per feature column, plus ZeroFill on the target."""
-
-    strategies: dict
-
-
-def default_plan() -> ImputationPlan:
-    return ImputationPlan(
-        strategies={
-            "Products": CrossFill(),
-            "Brand": CrossFill(partner="Manufacturer"),
-            "Colour": ColorNormalize(),
-            "Manufacturer": CrossFill(partner="Brand"),
-            "Price": HierarchicalMean(),
-            "Rating": ZeroFill(),
-            "Number of Rating": ZeroFill(),
-            "Shipment": HierarchicalMean(),
-            "Weight Pounds": HierarchicalMean(),
-            "Sales": ZeroFill(),
-        }
-    )
+def default_plan() -> dict:
+    """An imputation plan: column name -> strategy, exactly one strategy per
+    feature column, plus ZeroFill on the target."""
+    return {
+        "Products": CrossFill(),
+        "Brand": CrossFill(partner="Manufacturer"),
+        "Colour": ColorNormalize(),
+        "Manufacturer": CrossFill(partner="Brand"),
+        "Price": HierarchicalMean(),
+        "Rating": ZeroFill(),
+        "Number of Rating": ZeroFill(),
+        "Shipment": HierarchicalMean(),
+        "Weight Pounds": HierarchicalMean(),
+        "Sales": ZeroFill(),
+    }
 
 
-def _validate_plan(plan: ImputationPlan, schema: Sequence[ColumnSchema]) -> None:
+def _validate_plan(plan: dict, schema: Sequence[ColumnSchema]) -> None:
     by_name = {c.name: c for c in schema}
     for col in schema:
-        if col.name not in plan.strategies:
+        if col.name not in plan:
             raise InvalidConfig(f"imputation plan is missing column {col.name!r}")
-        strat = plan.strategies[col.name]
+        strat = plan[col.name]
         if col.role == TARGET and not isinstance(strat, ZeroFill):
             raise InvalidConfig("the target column must use the zero-fill strategy")
         if isinstance(strat, (ZeroFill, HierarchicalMean)) and col.kind != NUMERIC:
@@ -179,7 +172,7 @@ def _validate_plan(plan: ImputationPlan, schema: Sequence[ColumnSchema]) -> None
                         raise InvalidConfig(
                             f"{col.name!r}: group key {key!r} is not a categorical feature column"
                         )
-    extras = set(plan.strategies) - set(by_name)
+    extras = set(plan) - set(by_name)
     if extras:
         raise InvalidConfig(f"imputation plan names unknown columns: {sorted(extras)}")
 
@@ -189,7 +182,7 @@ class EncoderState:
     """Everything needed to replay the fitted transform on new rows."""
 
     schema: tuple[ColumnSchema, ...]
-    plan: ImputationPlan
+    plan: dict
     lexicon: ColorLexicon
     vocabularies: dict
     group_means: dict
@@ -204,14 +197,14 @@ def _numeric_features(schema: Sequence[ColumnSchema]) -> list[ColumnSchema]:
     return [c for c in schema if c.role == FEATURE and c.kind == NUMERIC]
 
 
-def _resolve_categoricals(table: DataTable, plan: ImputationPlan, lexicon: ColorLexicon) -> dict:
+def _resolve_categoricals(table: DataTable, plan: dict, lexicon: ColorLexicon) -> dict:
     """Apply cross-fill and colour normalization, returning per-column value
     lists where ``None`` marks a category that stays unencodable."""
     # Each read once: a cross-fill partner may be any categorical column.
     columns = {c.name: table.column(c.name) for c in table.schema if c.kind == CATEGORICAL}
     resolved: dict[str, list] = {}
     for col in _categorical_features(table.schema):
-        strat = plan.strategies[col.name]
+        strat = plan[col.name]
         raw = columns[col.name]
         if isinstance(strat, CrossFill):
             partner = columns[strat.partner] if strat.partner else [None] * table.n
@@ -237,12 +230,12 @@ def _group_keys(tier: Sequence[str], resolved: dict, rows: Sequence[int]) -> lis
 
 def fit_pipeline(
     train: DataTable,
-    plan: ImputationPlan | None = None,
+    plan: dict | None = None,
     lexicon: ColorLexicon | None = None,
 ) -> EncoderState:
     """Fit vocabularies and group means on the training partition, which
     needs a target value in some row."""
-    plan = plan or default_plan()
+    plan = default_plan() if plan is None else plan  # an empty plan is invalid, not the default
     lexicon = lexicon or ColorLexicon()
     if train.n == 0:
         raise EmptyTrain("cannot fit the feature pipeline on an empty table")
@@ -259,7 +252,7 @@ def fit_pipeline(
 
     group_means: dict[str, tuple] = {}
     for col in _numeric_features(train.schema):
-        strat = plan.strategies[col.name]
+        strat = plan[col.name]
         if not isinstance(strat, HierarchicalMean):
             continue
         values = train.column(col.name)
@@ -316,7 +309,7 @@ def transform(table: DataTable, state: EncoderState) -> tuple[np.ndarray, np.nda
     for j, col in enumerate(numeric):
         # The first tier that saw a row's group fills it, and 0.0 fills the
         # rest: ZeroFill has no tiers.
-        tiers = state.plan.strategies[col.name].tiers
+        tiers = state.plan[col.name].tiers
         filled = table.column(col.name)
         pending = [i for i, v in enumerate(filled) if v is None]
         for tier, means in zip(tiers, state.group_means.get(col.name, ())):
@@ -345,14 +338,14 @@ def transform(table: DataTable, state: EncoderState) -> tuple[np.ndarray, np.nda
     return matrix, target
 
 
-def plan_to_json(plan: ImputationPlan) -> dict:
+def plan_to_json(plan: dict) -> dict:
     return {
         name: {"strategy": _STRATEGY_NAMES[type(strat)], **to_doc(strat)}
-        for name, strat in plan.strategies.items()
+        for name, strat in plan.items()
     }
 
 
-def plan_from_json(doc) -> ImputationPlan:
+def plan_from_json(doc) -> dict:
     """Each entry names its strategy; its other keys are that strategy's
     fields (``partner`` for cross_fill, ``tiers`` for hierarchical_mean)."""
     strategies = {}
@@ -363,7 +356,7 @@ def plan_from_json(doc) -> ImputationPlan:
         if strategy is None:
             raise InvalidConfig(f"column {name!r}: unknown strategy {kind!r}")
         strategies[name] = from_doc(strategy, options, InvalidConfig, f"plan entry {name!r}")
-    return ImputationPlan(strategies=strategies)
+    return strategies
 
 
 def state_to_json(state: EncoderState) -> dict:
@@ -393,7 +386,7 @@ def state_from_json(doc) -> EncoderState:
     _validate_plan(plan, schema)
     vocabularies = doc["vocabularies"]
     categorical = {c.name for c in _categorical_features(schema)}
-    tiers = {n: s.tiers for n, s in plan.strategies.items() if isinstance(s, HierarchicalMean)}
+    tiers = {n: s.tiers for n, s in plan.items() if isinstance(s, HierarchicalMean)}
     if vocabularies.keys() != categorical or doc["group_means"].keys() != tiers.keys():
         raise InvalidConfig(
             f"encoder state must hold the vocabularies of {sorted(categorical)} "

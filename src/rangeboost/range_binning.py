@@ -30,7 +30,7 @@ class BinSpec:
         object.__setattr__(self, "edges", edges)
         if len(edges) < 2:
             raise InvalidConfig("bin edges need at least two entries")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
+        if not all(b > a for a, b in zip(edges, edges[1:])):  # NaN fails too
             raise InvalidConfig(f"bin edges must be strictly increasing: {edges}")
         if edges[0] > 0:  # sales are non-negative, so every one must fall in a bin
             raise InvalidConfig(f"the first bin edge must be at most 0, got {_format_edge(edges[0])}")

@@ -138,7 +138,7 @@ def test_gbdt_respects_min_samples_leaf():
 
     def leaf_sizes(tree):
         sizes = []
-        stack = [(tree.root, np.arange(10))]
+        stack = [(0, np.arange(10))]
         while stack:
             idx, rows = stack.pop()
             node = tree.nodes[idx]

@@ -26,6 +26,7 @@ from rangeboost.errors import (
     EmptyData,
     InvalidConfig,
     LayoutMismatch,
+    LengthMismatch,
     MalformedModel,
     NonFiniteInput,
 )
@@ -201,7 +202,7 @@ def test_learners_split_close_or_huge_values(case, fit):
     model = fit(matrix, targets)
     (tree,) = model.trees
     assert len(tree.nodes) == 3
-    root = tree.nodes[tree.root]
+    root = tree.nodes[0]
     assert root.feature == 0 and lo < root.threshold <= hi
     # one row per leaf: the rows get different leaf weights
     left, right = tree.predict(matrix)
@@ -270,7 +271,7 @@ def test_grow_tree_every_node_matches_oracle(max_depth, monkeypatch):
         hess = np.ones(n)
         config = TrainConfig(reg_lambda=lam, gamma=0.0, max_depth=max_depth, min_child_weight=1.0)
         tree = grow_tree(np.arange(n), matrix, grad, config)
-        stack = [(tree.root, np.arange(n), 0)]
+        stack = [(0, np.arange(n), 0)]
         while stack:
             index, rows, depth = stack.pop()
             node = tree.nodes[index]
@@ -502,7 +503,7 @@ def test_predict_additivity():
 
 
 def _route_one_row(tree, row):
-    node = tree.nodes[tree.root]
+    node = tree.nodes[0]
     while isinstance(node, Branch):
         node = tree.nodes[node.left if row[node.feature] < node.threshold else node.right]
     return node.weight
@@ -603,6 +604,21 @@ def test_predict_layout_mismatch():
     model = Ensemble(trees=(), base_score=0.0, learning_rate=0.1, feature_layout=("a", "b"))
     with pytest.raises(LayoutMismatch):
         model.predict(np.zeros((3, 5)))
+
+
+# (matrix, targets, feature names) that train rejects, and the error it raises.
+MISMATCHED_INPUTS = {
+    "matrix-1d": (np.zeros(4), np.zeros(4), None, LengthMismatch),
+    "targets-short": (np.zeros((4, 2)), np.zeros(3), None, LengthMismatch),
+    "feature-names-short": (np.zeros((4, 2)), np.zeros(4), ("a",), LayoutMismatch),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_INPUTS))
+def test_train_rejects_mismatched_inputs(case):
+    matrix, targets, names, error = MISMATCHED_INPUTS[case]
+    with pytest.raises(error):
+        train(matrix, targets, TrainConfig(n_trees=1), feature_names=names)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -446,6 +446,68 @@ MALFORMED_INPUTS = {
         lambda d: d["pipeline"]["group_means"].update(Price=[]),
         4,
     ),
+    "model-tree-root-out-of-range": ("predict", "--model", lambda d: d["trees"][0].update(root=5), 4),
+    "model-tree-no-nodes": ("predict", "--model", lambda d: d["trees"][0].update(nodes=[]), 4),
+    "train-csv-empty": ("train", "--data", b"", 3),
+    "train-csv-raw-sales-gradient-sum-overflows": (
+        "train",
+        "--data",
+        (f"{CSV_HEADER}\n" + "".join(f"{CSV_ROW},{s}\n" for s in ("1e308", "-1e308") * 2)).encode(),
+        3,
+        {"--config": "raw-sales.json"},
+    ),
+    "train-config-base-score-overflows-gradient-sum": ("train", "--config", {"model": {"base_score": 1e308}}, 3),
+    "compare-out-unknown-suffix": (
+        "compare",
+        "--experiment",
+        {"dataset": {"csv": "data.csv"}, "models": [{"kind": "ols"}]},
+        2,
+        {"--out": "report.xlsx"},
+    ),
+    "train-config-gamma-negative": ("train", "--config", {"model": {"gamma": -1.0}}, 2),
+    "train-config-min-child-weight-negative": ("train", "--config", {"model": {"min_child_weight": -1.0}}, 2),
+    "roster-svr-step-size-zero": (
+        "compare",
+        "--experiment",
+        {**TINY_EXPERIMENT, "models": [{"kind": "linear_svr", "config": {"step_size": 0.0}}]},
+        2,
+    ),
+    "roster-svr-step-decay-negative": (
+        "compare",
+        "--experiment",
+        {**TINY_EXPERIMENT, "models": [{"kind": "linear_svr", "config": {"step_decay": -1.0}}]},
+        2,
+    ),
+    "roster-svr-epochs-negative": (
+        "compare",
+        "--experiment",
+        {**TINY_EXPERIMENT, "models": [{"kind": "linear_svr", "config": {"epochs": -1}}]},
+        2,
+    ),
+    "train-schema-unknown-role": ("train", "--schema", [{"name": "Sales", "kind": "numeric", "role": "label"}], 2),
+    "train-schema-empty-name": ("train", "--schema", [{"name": "", "kind": "numeric", "role": "target"}], 2),
+    "train-config-plan-empty": ("train", "--config", {"pipeline": {"plan": {}}}, 2),
+    "train-config-plan-target-not-zero-fill": (
+        "train",
+        "--config",
+        {"pipeline": {"plan": {**plan_to_json(default_plan()), "Sales": {"strategy": "hierarchical_mean"}}}},
+        2,
+    ),
+    "train-config-plan-categorical-strategy-on-numeric": (
+        "train",
+        "--config",
+        {"pipeline": {"plan": {**plan_to_json(default_plan()), "Price": {"strategy": "color_normalize"}}}},
+        2,
+    ),
+    "train-config-plan-unknown-column": (
+        "train",
+        "--config",
+        {"pipeline": {"plan": {**plan_to_json(default_plan()), "Prize": {"strategy": "zero_fill"}}}},
+        2,
+    ),
+    "experiment-train-fraction-above-one": ("compare", "--experiment", {**TINY_EXPERIMENT, "train_fraction": 1.5}, 2),
+    "synth-categories-empty": ("synth", "--spec", {"categories": []}, 2),
+    "synth-noise-scale-negative": ("synth", "--spec", {"noise_scale": -1.0}, 2),
 }
 
 

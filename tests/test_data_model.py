@@ -287,6 +287,12 @@ def test_schema_validation():
         ColumnSchema("a", "integer")
 
 
+def test_table_row_of_the_wrong_arity_raises():
+    row = ("computer mice", "acme", "grey", "acme", 19.99, 4.5, 120.0, 3.0, 0.2, 150.0)
+    with pytest.raises(RowArity, match="row 1: expected 10 cells, got 9"):
+        DataTable(default_schema(), (row, row[:-1]))
+
+
 def test_schema_target_must_be_numeric():
     """The target is regressed on and binned, so a categorical one is a
     config error naming the column, wherever a schema is checked."""

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import rangeboost.eval_harness as harness
+from rangeboost.baseline_models import GbdtBaselineConfig, SvrConfig, fit_bayes_ridge
+from rangeboost.boosted_trees import TrainConfig
 from rangeboost.data_model import default_schema, load_csv, write_csv
-from rangeboost.errors import EmptyData, InvalidConfig, InvalidSpec, LengthMismatch
+from rangeboost.errors import EmptyData, InvalidConfig, LengthMismatch
 from rangeboost.eval_harness import (
     ExperimentConfig,
     MetricsRow,
@@ -22,7 +24,7 @@ from rangeboost.eval_harness import (
     run_experiment,
     synthetic_spec_from_json,
 )
-from rangeboost.range_binning import apply_binning, default_bins
+from rangeboost.range_binning import BinSpec, apply_binning, default_bins
 
 
 def test_metric_examples():
@@ -102,14 +104,29 @@ def test_generate_synthetic_round_trips_through_csv(tmp_path):
     assert load_csv(path, default_schema()) == table
 
 
+def test_generate_synthetic_gives_a_lone_product_the_middle_price_rank():
+    """A category with at most one product has no price order, so its
+    product's price rank in the planted sales signal is 0.5."""
+    categories = tuple(f"category {i}" for i in range(12))
+    spec = SyntheticSpec(n_products=10, categories=categories, missing_rates={}, noise_scale=0.0)
+    table = generate_synthetic(spec)
+    products = table.column("Products")
+    lone = [i for i, category in enumerate(products) if products.count(category) == 1]
+    assert lone
+    rating = np.array(table.column("Rating"))[lone]
+    reviews = np.array(table.column("Number of Rating"))[lone]
+    score = 0.40 * (rating / 5.0) + 0.40 * np.minimum(1.0, np.log1p(reviews) / math.log1p(30000.0)) + 0.20 * 0.5
+    assert np.array(table.column("Sales"))[lone].tolist() == np.round(np.expm1(score * 9.9)).tolist()
+
+
 def test_synthetic_spec_validation():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidConfig):
         SyntheticSpec(n_products=5)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidConfig):
         SyntheticSpec(missing_rates={"Rating": 1.5})
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidConfig):
         SyntheticSpec(brand_count=0)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidConfig):
         synthetic_spec_from_json({"bogus": 1})
 
 
@@ -308,3 +325,37 @@ def test_experiment_from_json_rejects_roster_config_typo():
 
 def test_default_models_order():
     assert [m.name for m in default_models()] == ["GBDT", "XGBoost", "Linear", "Bayes", "SVM"]
+
+
+NAN = float("nan")
+# Config objects built in code, and the keyword arguments each must reject
+# with InvalidConfig.  Every bound is written so that NaN, which compares
+# false to any number, fails it, as the JSON readers reject NaN.
+INVALID_CONFIGS = {
+    "train-n-trees-nan": (TrainConfig, {"n_trees": NAN}),
+    "train-reg-lambda-nan": (TrainConfig, {"reg_lambda": NAN}),
+    "train-gamma-nan": (TrainConfig, {"gamma": NAN}),
+    "train-max-depth-nan": (TrainConfig, {"max_depth": NAN}),
+    "train-min-child-weight-nan": (TrainConfig, {"min_child_weight": NAN}),
+    "train-base-score-nan": (TrainConfig, {"base_score": NAN}),
+    "train-base-score-inf": (TrainConfig, {"base_score": math.inf}),
+    "gbdt-min-samples-leaf-nan": (GbdtBaselineConfig, {"min_samples_leaf": NAN}),
+    "svr-epsilon-nan": (SvrConfig, {"epsilon": NAN}),
+    "svr-c-nan": (SvrConfig, {"c": NAN}),
+    "svr-step-size-nan": (SvrConfig, {"step_size": NAN}),
+    "svr-step-decay-nan": (SvrConfig, {"step_decay": NAN}),
+    "svr-epochs-nan": (SvrConfig, {"epochs": NAN}),
+    "bayes-ridge-alpha-nan": (lambda alpha: fit_bayes_ridge(np.eye(2), np.ones(2), alpha), {"alpha": NAN}),
+    "bins-edge-nan": (BinSpec, {"edges": (0, NAN, 10)}),
+    "synthetic-noise-scale-nan": (SyntheticSpec, {"noise_scale": NAN}),
+    "synthetic-seed-nan": (SyntheticSpec, {"seed": NAN}),
+    "experiment-seed-nan": (ExperimentConfig, {"synthetic": SyntheticSpec(), "seed": NAN}),
+    "experiment-target-mode-unknown": (ExperimentConfig, {"synthetic": SyntheticSpec(), "target_mode": "banana"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+def test_config_objects_reject_out_of_range_values(case):
+    build, kwargs = INVALID_CONFIGS[case]
+    with pytest.raises(InvalidConfig):
+        build(**kwargs)

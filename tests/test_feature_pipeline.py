@@ -20,7 +20,6 @@ from rangeboost.feature_pipeline import (
     ColorNormalize,
     CrossFill,
     HierarchicalMean,
-    ImputationPlan,
     ZeroFill,
     default_plan,
     fit_pipeline,
@@ -294,7 +293,7 @@ def test_transform_holds_one_matrix():
 
 
 def _encode(schema, plan, train_rows, rows):
-    state = fit_pipeline(DataTable(schema, train_rows), plan=ImputationPlan(plan))
+    state = fit_pipeline(DataTable(schema, train_rows), plan=plan)
     matrix, target = transform(DataTable(schema, rows), state)
     assert matrix.flags.c_contiguous and matrix.dtype == np.float64
     assert matrix.shape == (len(rows), len(state.layout))
@@ -370,17 +369,17 @@ def test_schema_mismatch_raises():
 
 def test_plan_validation():
     schema = default_schema()
-    bad = ImputationPlan(strategies={c.name: ZeroFill() for c in schema})
+    bad = {c.name: ZeroFill() for c in schema}
     with pytest.raises(InvalidConfig):
         fit_pipeline(DataTable(schema, (_row(),)), plan=bad)
-    base = default_plan().strategies
-    missing = ImputationPlan(strategies={k: v for k, v in base.items() if k != "Price"})
+    base = default_plan()
+    missing = {k: v for k, v in base.items() if k != "Price"}
     with pytest.raises(InvalidConfig):
         fit_pipeline(DataTable(schema, (_row(),)), plan=missing)
-    cross_to_numeric = ImputationPlan(strategies={**base, "Brand": CrossFill(partner="Price")})
+    cross_to_numeric = {**base, "Brand": CrossFill(partner="Price")}
     with pytest.raises(InvalidConfig):
         fit_pipeline(DataTable(schema, (_row(),)), plan=cross_to_numeric)
-    bad_tier = ImputationPlan(strategies={**base, "Shipment": HierarchicalMean(tiers=(("Price",),))})
+    bad_tier = {**base, "Shipment": HierarchicalMean(tiers=(("Price",),))}
     with pytest.raises(InvalidConfig):
         fit_pipeline(DataTable(schema, (_row(),)), plan=bad_tier)
 
