@@ -1,6 +1,18 @@
 """Gradient-boosted sales-range forecasting toolkit."""
 
-from .baseline_models import (
+import os
+
+# Every BLAS call rangeboost makes (OLS ``lstsq``, the ridge normal equations,
+# the SVR's matrix-vector products) is on at most ~10^5 x 52 matrices, where
+# OpenBLAS's thread pool only adds wake-up stalls: one ``lstsq`` of the pinned
+# compare takes 0.36 s on two threads and 0.003 s on one (2 vCPUs), with the
+# same bits.  One thread per process also keeps worker processes from
+# oversubscribing the cores.  A value the user set wins.  OpenBLAS reads the
+# variable when numpy loads, so this takes effect only when the package is
+# imported before numpy, as the CLI does.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .baseline_models import (  # noqa: E402
     GbdtBaselineConfig,
     LinearModel,
     SvrConfig,
@@ -9,7 +21,7 @@ from .baseline_models import (
     fit_linear_svr,
     fit_ols,
 )
-from .boosted_trees import (
+from .boosted_trees import (  # noqa: E402
     Branch,
     Ensemble,
     Leaf,
@@ -23,7 +35,7 @@ from .boosted_trees import (
     to_json,
     train,
 )
-from .data_model import (
+from .data_model import (  # noqa: E402
     ColumnSchema,
     DataTable,
     SplitIndices,
@@ -33,7 +45,7 @@ from .data_model import (
     split_train_test,
     write_csv,
 )
-from .eval_harness import (
+from .eval_harness import (  # noqa: E402
     ExperimentConfig,
     MetricsRow,
     ModelSpec,
@@ -46,7 +58,7 @@ from .eval_harness import (
     rmse,
     run_experiment,
 )
-from .feature_pipeline import (
+from .feature_pipeline import (  # noqa: E402
     ColorLexicon,
     EncoderState,
     default_plan,
@@ -54,6 +66,6 @@ from .feature_pipeline import (
     normalize_color,
     transform,
 )
-from .range_binning import BinSpec, apply_binning, bin_of, default_bins
+from .range_binning import BinSpec, apply_binning, bin_of, default_bins  # noqa: E402
 
 __version__ = "0.1.0"

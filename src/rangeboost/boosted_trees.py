@@ -256,26 +256,34 @@ def find_best_split(
     and have strictly positive gain.  Ties on gain resolve to the first
     maximum in (feature, threshold) order."""
     bins, g, h = hist if hist is not None else _histogram(_rank_codes(matrix), rows, grad)
-    # Running sums over each column's bins in rank order; an empty bin adds
-    # 0.0.  G folds within the column, so its last sum is the column's total.
+    n_rows = rows.shape[0]
+    # The bins holding rows, ascending.  A candidate is one followed by
+    # another of its column: the next value present at the node.
+    present = (h > 0).nonzero()[0]
+    column = bins.column[present]
+    at = (column[:-1] == column[1:]).nonzero()[0]
+    # Rows at or below each candidate, exact: each row has one bin per column.
+    h_left = (h[present].cumsum()[at] - column[at] * n_rows).astype(np.float64)
+    h_total = float(n_rows)
+    h_right = h_total - h_left
+    if config.min_child_weight > 1.0:  # up to 1, the row on each side meets it
+        usable = (h_left >= config.min_child_weight) & (h_right >= config.min_child_weight)
+        at, h_left, h_right = at[usable], h_left[usable], h_right[usable]
+    if at.size == 0:
+        return None
+    candidate, after = present[at], present[at + 1]
+    # Running sums over every bin of each column in rank order.  G folds
+    # within the column, so its last sum is the column's total.  An empty bin
+    # of a derived histogram can hold a G residue, and it is folded too.
     g_cum = np.empty_like(g)
     for run in bins.runs:
         g_cum[run] = g[run].cumsum(axis=-1)
-    n_rows = rows.shape[0]
-    h_cum = h.cumsum() - bins.column * n_rows  # each row has one bin per column
-    candidate = ((h > 0) & (h_cum < n_rows)).nonzero()[0]  # rows on both sides
-    if candidate.size == 0:
-        return None
     g_total = g_cum[bins.last[candidate]]
     g_left = g_cum[candidate]
-    h_total = float(n_rows)
-    h_left = h_cum[candidate].astype(np.float64)
     g_right = g_total - g_left
-    h_right = h_total - h_left
 
     lam = config.reg_lambda
     # Each side holds a row and lambda >= 0, so H + lambda > 0 on both.
-    usable = (h_left >= config.min_child_weight) & (h_right >= config.min_child_weight)
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = (
             0.5
@@ -286,13 +294,11 @@ def find_best_split(
             )
             - config.gamma
         )
-    gains = np.where(usable, gains, -np.inf)
 
     best = int(gains.argmax())
     if not gains[best] > 0.0:
         return None
-    lo = candidate[best]
-    hi = lo + 1 + h[lo + 1 :].nonzero()[0][0]  # the next present bin, same column
+    lo, hi = candidate[best], after[best]
     threshold = _threshold(float(bins.values[lo]), float(bins.values[hi]))
     return Split(feature=int(bins.feature[lo]), threshold=threshold, gain=float(gains[best]))
 
@@ -306,13 +312,16 @@ def grow_tree(
 ) -> RegressionTree:
     """Depth-limited growth in pre-order; leaves store shrunken weights.
 
-    ``bins`` are the rank codes of ``matrix``, built when omitted.  Of a
-    split's two children, the one with fewer rows (the left on a tie) gets
-    its histogram built from its rows, the other the parent's minus it;
-    children at ``max_depth`` are leaves and get none."""
+    ``bins`` are the rank codes of ``matrix``, built when omitted.  A node at
+    ``max_depth``, or with fewer than 2 * max(1, min_child_weight) rows, is a
+    leaf unsearched: no split can leave a row and min_child_weight on each
+    side of it.  Of a split's two children, the one with fewer rows (the left
+    on a tie) gets its histogram built from its rows, the other the parent's
+    minus it; when neither child is searched, neither gets one."""
     rows = np.asarray(rows)
     if bins is None:
         bins = _rank_codes(matrix)
+    min_rows = 2.0 * max(1.0, config.min_child_weight)
     # A split's slot holds None until its right child's index is known.
     nodes: list[Leaf | Branch | None] = []
     # (rows, histogram, depth, (index, Split) of the parent whose right child it is)
@@ -324,7 +333,7 @@ def grow_tree(
             at, parent_split = parent
             nodes[at] = Branch(parent_split.feature, parent_split.threshold, at + 1, index)
         split = None
-        if depth < config.max_depth:
+        if depth < config.max_depth and node_rows.shape[0] >= min_rows:
             split = find_best_split(node_rows, matrix, grad, config, hist)
         if split is None:
             g_sum = float(np.sum(grad[node_rows]))
@@ -336,8 +345,8 @@ def grow_tree(
         # left subtree, which builds this Branch above.
         nodes.append(None)
         left_rows, right_rows = _route(matrix[:, split.feature], node_rows, split.threshold)
-        left = right = None  # children at max_depth are leaves
-        if depth + 1 < config.max_depth:
+        left = right = None  # for children that are not searched
+        if depth + 1 < config.max_depth and max(left_rows.shape[0], right_rows.shape[0]) >= min_rows:
             small = left_rows if left_rows.shape[0] <= right_rows.shape[0] else right_rows
             built = _histogram(bins, small, grad)
             derived = _Histogram(bins, hist.g - built.g, hist.h - built.h)

@@ -127,14 +127,14 @@ def _cmd_predict(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = load_experiment(args.experiment)
-    rows = run_experiment(config)
     out = args.out or config.output
-    table_text = render_report(rows, "table")
-    if out:
-        suffix = Path(out).suffix.lower()
-        fmt = {".txt": "table", ".csv": "csv", ".json": "json"}.get(suffix)
+    if out:  # checked before any model is fitted
+        fmt = {".txt": "table", ".csv": "csv", ".json": "json"}.get(Path(out).suffix.lower())
         if fmt is None:
             raise InvalidConfig(f"cannot infer report format from {out!r}; use .txt, .csv, or .json")
+    rows = run_experiment(config)
+    table_text = render_report(rows, "table")
+    if out:
         report = render_report(rows, fmt)
         with _writing(out):
             Path(out).write_text(report, encoding="utf-8")

@@ -289,6 +289,42 @@ def test_grow_tree_every_node_matches_oracle(max_depth, monkeypatch):
             stack.append((node.right, rows[~mask], depth + 1))
 
 
+@pytest.mark.parametrize("min_child_weight", [0.0, 1.0, 3.0])
+def test_grow_tree_searches_no_node_too_small_to_split(min_child_weight, monkeypatch):
+    # A node under 2 * max(1, min_child_weight) rows cannot leave a row and
+    # min_child_weight on each side, so the grower makes it a leaf unsearched.
+    min_rows = 2 * max(1.0, min_child_weight)
+    searched = set()
+
+    def recording_search(rows, *args):
+        assert rows.shape[0] >= min_rows
+        searched.add(rows.tobytes())
+        return find_best_split(rows, *args)
+
+    monkeypatch.setattr(boosted_trees, "find_best_split", recording_search)
+    skipped = 0
+    for matrix, grad, lam in _grow_tree_oracle_cases():
+        searched.clear()
+        n = matrix.shape[0]
+        config = TrainConfig(reg_lambda=lam, gamma=0.0, max_depth=8, min_child_weight=min_child_weight)
+        tree = grow_tree(np.arange(n), matrix, grad, config)
+        stack = [(0, np.arange(n), 0)]
+        while stack:
+            index, rows, depth = stack.pop()
+            node = tree.nodes[index]
+            if depth < config.max_depth:
+                assert (rows.tobytes() in searched) == (rows.shape[0] >= min_rows)
+            if rows.shape[0] < min_rows:
+                skipped += 1
+                assert isinstance(node, Leaf)
+                assert enumerate_best_split(matrix, rows, grad, np.ones(n), lam, 0.0, min_child_weight) is None
+            if isinstance(node, Branch):
+                mask = matrix[rows, node.feature] < node.threshold
+                stack.append((node.left, rows[mask], depth + 1))
+                stack.append((node.right, rows[~mask], depth + 1))
+    assert skipped > 0
+
+
 def test_find_best_split_gain_bit_exact_on_distinct_values():
     # Each bin holds at most one row, and a column's running sums and total
     # fold its rows in the oracle's order, so gains agree to the bit.
@@ -322,6 +358,30 @@ def test_sibling_subtraction_equals_counting():
         assert np.allclose(parent.g - left.g, right.g, rtol=0.0, atol=1e-12)
     # No repeated value: one row per bin, so G subtracts exactly too.
     assert np.array_equal(parent.g - left.g, right.g)
+
+
+def test_find_best_split_folds_the_gradient_residue_of_an_empty_bin():
+    # Sibling subtraction can leave G != 0 in a bin that holds no row (H = 0):
+    # the parent's sum of the bin's rows minus the child's, folded in other
+    # orders.  Each column's G total is its running sum over every bin, so
+    # the residue counts.  Here folding only the bins holding rows gives a
+    # gain with other bits.
+    matrix = np.array([[0.0], [1.0], [2.0]])
+    bins = boosted_trees._rank_codes(matrix)
+    residue = (0.1 + 0.2) - 0.3
+    g_low, g_high = 0.2, -1.2
+    hist = boosted_trees._Histogram(bins, np.array([g_low, residue, g_high]), np.array([1, 0, 1]))
+    config = TrainConfig(reg_lambda=1.0, gamma=0.0, min_child_weight=1.0)
+    split = find_best_split(np.arange(2), matrix, np.zeros(3), config, hist)
+
+    def gain(g_total):
+        g_right = g_total - g_low
+        return 0.5 * (g_low * g_low / 2.0 + g_right * g_right / 2.0 - g_total * g_total / 3.0)
+
+    every_bin, present_bins = (g_low + residue) + g_high, g_low + g_high
+    assert gain(every_bin) != gain(present_bins)
+    assert split.gain == gain(every_bin)
+    assert (split.feature, split.threshold) == (0, 1.0)  # between the bins holding rows
 
 
 def test_duplicate_and_constant_columns_change_no_tree():

@@ -148,6 +148,23 @@ def test_compare_writes_reports(tmp_path, capsys):
     assert "XGBoost" in out
 
 
+@pytest.mark.parametrize("where", ["--out", "output"])
+def test_compare_checks_the_report_suffix_before_fitting(tmp_path, capsys, monkeypatch, where):
+    def no_fit(config):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(cli, "run_experiment", no_fit)
+    out = str(tmp_path / "report.xlsx")
+    experiment = {**TINY_EXPERIMENT, "output": out} if where == "output" else TINY_EXPERIMENT
+    exp_path = tmp_path / "exp.json"
+    exp_path.write_text(json.dumps(experiment), encoding="utf-8")
+    argv = ["compare", "--experiment", str(exp_path)] + (["--out", out] if where == "--out" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot infer report format from {out!r}; use .txt, .csv, or .json\n"
+    )
+
+
 def test_exit_code_2_on_config_errors(tmp_path, synth_csv):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json", encoding="utf-8")
