@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosted_trees import Ensemble, TrainConfig, check_fit_inputs, check_predict_inputs, train
+from .boosted_trees import FORMAT_VERSION, Ensemble, TrainConfig, check_fit_inputs, check_predict_inputs, train
 from .errors import InvalidConfig, NonFiniteInput
+from .jsondoc import check_value
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class GbdtBaselineConfig:
     min_samples_leaf: int = 1
 
     def __post_init__(self):
-        if not self.min_samples_leaf >= 1:
+        if not check_value(self.min_samples_leaf, int, InvalidConfig, "min_samples_leaf") >= 1:
             raise InvalidConfig(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
         self.train_config()  # checks n_trees, learning_rate and max_depth
 
@@ -117,7 +118,7 @@ class SvrConfig:
             raise InvalidConfig(f"step_size must be > 0, got {self.step_size}")
         if not self.step_decay >= 0:
             raise InvalidConfig(f"step_decay must be >= 0, got {self.step_decay}")
-        if not self.epochs >= 0:
+        if not check_value(self.epochs, int, InvalidConfig, "epochs") >= 0:
             raise InvalidConfig(f"epochs must be >= 0, got {self.epochs}")
 
 
@@ -152,11 +153,9 @@ def fit_linear_svr(matrix, targets, config: SvrConfig | None = None) -> LinearMo
 
 
 def linear_to_json(model: LinearModel, feature_layout=None) -> dict:
-    layout = list(feature_layout) if feature_layout is not None else [
-        f"f{i}" for i in range(len(model.weights))
-    ]
+    layout = list(feature_layout) if feature_layout is not None else [f"f{i}" for i in range(len(model.weights))]
     return {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "kind": "linear",
         "weights": list(model.weights),
         "intercept": model.intercept,

@@ -47,7 +47,7 @@ from .errors import (
     MalformedModel,
     NonFiniteInput,
 )
-from .jsondoc import check_doc, from_doc, read_json, to_doc
+from .jsondoc import check_doc, check_value, from_doc, read_json, to_doc
 
 
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
@@ -75,7 +75,7 @@ class TrainConfig:
     base_score: float | None = None
 
     def __post_init__(self):
-        if not self.n_trees >= 0:
+        if not check_value(self.n_trees, int, InvalidConfig, "n_trees") >= 0:
             raise InvalidConfig(f"n_trees must be >= 0, got {self.n_trees}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise InvalidConfig(f"learning_rate must be in (0, 1], got {self.learning_rate}")
@@ -83,7 +83,7 @@ class TrainConfig:
             raise InvalidConfig(f"reg_lambda must be >= 0, got {self.reg_lambda}")
         if not self.gamma >= 0.0:
             raise InvalidConfig(f"gamma must be >= 0, got {self.gamma}")
-        if not self.max_depth >= 1:
+        if not check_value(self.max_depth, int, InvalidConfig, "max_depth") >= 1:
             raise InvalidConfig(f"max_depth must be >= 1, got {self.max_depth}")
         if not self.min_child_weight >= 0.0:
             raise InvalidConfig(f"min_child_weight must be >= 0, got {self.min_child_weight}")
@@ -356,11 +356,28 @@ def grow_tree(
     return RegressionTree(nodes=tuple(nodes))
 
 
+def _finite_array(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array of finite real numbers, else NonFiniteInput:
+    text, complex numbers and ragged rows are not real, and a NaN would route
+    right at every split."""
+    try:
+        array = np.asarray(value)
+        array = np.asarray(array.tolist()) if array.dtype == object else array  # a number per cell
+        if array.dtype.kind not in "biuf":  # bool, integer or float; not text, complex or a date
+            raise TypeError
+    except (TypeError, ValueError):  # a ValueError: ragged rows, or text in an object array
+        raise NonFiniteInput(f"{what} inputs must be real numbers") from None
+    array = array.astype(np.float64, copy=False)
+    if not np.isfinite(array).all():
+        raise NonFiniteInput(f"{what} inputs must be finite")
+    return array
+
+
 def check_fit_inputs(matrix, targets) -> tuple[np.ndarray, np.ndarray]:
     """The one input check of every fit: a finite, non-empty 2-D float
     matrix and a target vector with one value per row."""
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    matrix = np.ascontiguousarray(_finite_array(matrix, "fit"))
+    targets = _finite_array(targets, "fit")
     if matrix.ndim != 2:
         raise LengthMismatch(f"feature matrix must be 2-D, got shape {matrix.shape}")
     if targets.ndim != 1 or matrix.shape[0] != targets.shape[0]:
@@ -369,25 +386,17 @@ def check_fit_inputs(matrix, targets) -> tuple[np.ndarray, np.ndarray]:
         )
     if matrix.shape[0] == 0:
         raise EmptyData("cannot fit on an empty dataset")
-    check_finite("fit", matrix, targets)
     return matrix, targets
 
 
 def check_predict_inputs(matrix, n_columns: int) -> np.ndarray:
     """The one input check of every predict: a finite 2-D float matrix with
-    ``n_columns`` columns (a NaN would route right at every split)."""
-    matrix = np.asarray(matrix, dtype=np.float64)
+    ``n_columns`` columns."""
+    matrix = _finite_array(matrix, "predict")
     if matrix.ndim != 2 or matrix.shape[1] != n_columns:
         got = matrix.shape[1] if matrix.ndim == 2 else "?"
         raise LayoutMismatch(f"matrix has {got} columns, model expects {n_columns}")
-    check_finite("predict", matrix)
     return matrix
-
-
-def check_finite(what: str, *arrays: np.ndarray) -> None:
-    """Raise NonFiniteInput if any array holds a NaN or an infinity."""
-    if not all(np.isfinite(array).all() for array in arrays):
-        raise NonFiniteInput(f"{what} inputs must be finite")
 
 
 # No node's |G| exceeds a round's sum |grad|, and each side of a split holds a

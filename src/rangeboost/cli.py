@@ -18,11 +18,10 @@ from . import boosted_trees
 from .data_model import DataTable, default_schema, load_csv, load_schema, read_rows, schema_to_json, write_csv
 from .errors import ConfigError, DataError, InvalidConfig, MalformedModel, ModelError
 from .eval_harness import (
-    BINNED_RANGE,
-    RAW_SALES,
+    REPORT_FORMATS,
     SyntheticSpec,
+    experiment_from_json,
     generate_synthetic,
-    load_experiment,
     parse_document,
     render_report,
     run_experiment,
@@ -30,7 +29,7 @@ from .eval_harness import (
 )
 from .feature_pipeline import fit_pipeline, state_from_json, state_to_json, transform
 from .jsondoc import read_json
-from .range_binning import apply_binning, bins_from_json, bins_to_json, default_bins
+from .range_binning import RAW_SALES, apply_binning, bins_from_json, bins_to_json, default_bins, target_bins
 
 # Rows `predict` parses, encodes and scores at a time: its memory peak is
 # set by one block, not by the file's length.  Smaller blocks add routing
@@ -63,19 +62,19 @@ def _cmd_train(args) -> int:
     config = parse_document(config, {"model": boosted_trees.TrainConfig}, "train config")
     train_config = config.get("model", boosted_trees.TrainConfig())
     schema = load_schema(args.schema) if args.schema else default_schema()
-    target_mode, bins = config["target_mode"], config["bins"]
+    bins = config["bins"]
     table = load_csv(args.data, schema)
     state = fit_pipeline(table, config["plan"], config["lexicon"])
     matrix, target = transform(table, state)
-    if target_mode == BINNED_RANGE:
+    if bins is not None:
         target = apply_binning(target, bins)
     ensemble = boosted_trees.train(matrix, target, train_config, feature_names=state.layout)
 
     document = boosted_trees.to_json(ensemble)
     document["pipeline"] = state_to_json(state)
     document["schema"] = schema_to_json(schema)
-    document["target_mode"] = target_mode
-    document["bins"] = bins_to_json(bins) if target_mode == BINNED_RANGE else None
+    document["target_mode"] = config["target_mode"]
+    document["bins"] = bins_to_json(bins)
     with _writing(args.model_out):
         boosted_trees.save_model(document, args.model_out)
     print(
@@ -96,15 +95,12 @@ def _predict_block(ensemble, state, rows) -> np.ndarray:
 def _cmd_predict(args) -> int:
     document = boosted_trees.load_model(args.model)
     ensemble = boosted_trees.from_json(document)
-    target_mode, bins = document.get("target_mode"), document.get("bins")
-    if target_mode not in (RAW_SALES, BINNED_RANGE):
-        raise MalformedModel(f"model file {args.model}: unknown target_mode {target_mode!r}")
-    if (target_mode == RAW_SALES) != (bins is None):
-        raise MalformedModel(f"model file {args.model}: bins must be null exactly under {RAW_SALES}")
+    bins = document.get("bins")
     try:
         state = state_from_json(document.get("pipeline"))
-        if bins is not None:
-            bins_from_json(bins)
+        bins = None if bins is None else bins_from_json(bins)
+        if target_bins(document.get("target_mode"), bins, "model") != bins:  # the default filled no bins in
+            raise InvalidConfig(f"bins must be null exactly under {RAW_SALES}")
     except ConfigError as exc:
         raise MalformedModel(f"model file {args.model}: bad embedded pipeline or bins: {exc}") from exc
     if document.get("schema") != document["pipeline"]["schema"]:
@@ -126,10 +122,10 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = load_experiment(args.experiment)
+    config = experiment_from_json(read_json(args.experiment, "experiment", InvalidConfig))
     out = args.out or config.output
     if out:  # checked before any model is fitted
-        fmt = {".txt": "table", ".csv": "csv", ".json": "json"}.get(Path(out).suffix.lower())
+        fmt = REPORT_FORMATS.get(Path(out).suffix.lower())
         if fmt is None:
             raise InvalidConfig(f"cannot infer report format from {out!r}; use .txt, .csv, or .json")
     rows = run_experiment(config)

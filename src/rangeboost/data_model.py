@@ -208,17 +208,13 @@ def write_csv(table: DataTable, path) -> None:
         writer.writerows(table.rows)
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def split_train_test(table: DataTable, train_fraction: float = 0.8, seed: int = 0) -> SplitIndices:
     """Seeded random permutation split; the first round(fraction*n) indices
     (half-up rounding) form the train side."""
     n = table.n
     if n < 2:
         raise DegenerateSplit(f"cannot split {n} rows")
-    size = _round_half_up(train_fraction * n)
+    size = math.floor(train_fraction * n + 0.5)  # half up
     if size <= 0 or size >= n:
         raise DegenerateSplit(
             f"train_fraction={train_fraction} on n={n} leaves an empty side"

@@ -29,11 +29,8 @@ from .boosted_trees import TrainConfig, train
 from .data_model import DataTable, default_schema, load_csv, load_schema, split_train_test
 from .errors import EmptyData, InvalidConfig, LengthMismatch
 from .feature_pipeline import ColorLexicon, fit_pipeline, plan_from_json, transform
-from .jsondoc import check_doc, from_doc, read_json
-from .range_binning import BinSpec, apply_binning, default_bins
-
-RAW_SALES = "raw_sales"
-BINNED_RANGE = "binned_range"
+from .jsondoc import check_doc, check_value, from_doc
+from .range_binning import BINNED_RANGE, RAW_SALES, BinSpec, apply_binning, target_bins
 
 
 def _as_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -145,15 +142,15 @@ class SyntheticSpec:
     seed: int = 7
 
     def __post_init__(self):
-        if not 10 <= self.n_products <= MAX_PRODUCTS:
+        if not 10 <= check_value(self.n_products, int, InvalidConfig, "n_products") <= MAX_PRODUCTS:
             raise InvalidConfig(f"n_products must be in [10, {MAX_PRODUCTS:,}], got {self.n_products}")
         if not self.categories:
             raise InvalidConfig("at least one category is required")
-        if not 1 <= self.brand_count <= MAX_PRODUCTS:  # every brand is built before any row
+        if not 1 <= check_value(self.brand_count, int, InvalidConfig, "brand_count") <= MAX_PRODUCTS:
             raise InvalidConfig(f"brand_count must be in [1, {MAX_PRODUCTS:,}], got {self.brand_count}")
         if not self.noise_scale >= 0:
             raise InvalidConfig(f"noise_scale must be >= 0, got {self.noise_scale}")
-        if not self.seed >= 0:
+        if not check_value(self.seed, int, InvalidConfig, "seed") >= 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         unknown = self.missing_rates.keys() - {c.name for c in default_schema()}
         if unknown:
@@ -290,6 +287,8 @@ def default_models() -> tuple[ModelSpec, ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One comparison run; once built, ``bins`` is None exactly under raw_sales."""
+
     data_csv: str | None = None
     schema_path: str | None = None
     synthetic: SyntheticSpec | None = None
@@ -308,15 +307,14 @@ class ExperimentConfig:
             raise InvalidConfig("configure exactly one of data_csv or synthetic")
         if self.synthetic is not None and self.schema_path is not None:
             raise InvalidConfig("a synthetic dataset has the default schema and takes no schema file")
-        if self.target_mode not in (RAW_SALES, BINNED_RANGE):
-            raise InvalidConfig(f"unknown target mode {self.target_mode!r}")
+        object.__setattr__(self, "bins", target_bins(self.target_mode, self.bins, "experiment"))
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidConfig(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if not self.seed >= 0:
+        if not check_value(self.seed, int, InvalidConfig, "seed") >= 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if not self.models:
             raise InvalidConfig("the model roster must not be empty")
-        if self.round_predictions and self.target_mode == RAW_SALES:
+        if self.round_predictions and self.bins is None:
             raise InvalidConfig("round_predictions rounds to bins, which raw_sales targets do not have")
 
 
@@ -348,8 +346,8 @@ def run_experiment(config: ExperimentConfig, n_jobs: int = 1) -> list[MetricsRow
     x_train, y_train = transform(train_table, state)
     x_test, y_test = transform(test_table, state)
 
-    bins = config.bins or default_bins()
-    if config.target_mode == BINNED_RANGE:
+    bins = config.bins
+    if bins is not None:
         y_train = np.asarray(apply_binning(y_train, bins), dtype=np.float64)
         y_test = np.asarray(apply_binning(y_test, bins), dtype=np.float64)
 
@@ -359,14 +357,7 @@ def run_experiment(config: ExperimentConfig, n_jobs: int = 1) -> list[MetricsRow
             preds = _fit_and_predict(model, x_train, y_train, x_test, state.layout)
             if config.round_predictions:
                 preds = np.clip(np.rint(preds), 0, bins.n_bins - 1)
-            rows.append(
-                MetricsRow(
-                    model_name=model.name,
-                    mse=mse(preds, y_test),
-                    rmse=rmse(preds, y_test),
-                    mae=mae(preds, y_test),
-                )
-            )
+            rows.append(MetricsRow(model.name, mse(preds, y_test), rmse(preds, y_test), mae(preds, y_test)))
         except Exception as exc:  # a failed model must not sink the comparison
             rows.append(MetricsRow(model_name=model.name, error=str(exc)))
     return rows
@@ -376,7 +367,7 @@ def run_experiment(config: ExperimentConfig, n_jobs: int = 1) -> list[MetricsRow
 # Report rendering
 # ---------------------------------------------------------------------------
 
-REPORT_FORMATS = ("table", "csv", "json")
+REPORT_FORMATS = {".txt": "table", ".csv": "csv", ".json": "json"}
 
 # Each report column: its header and the MetricsRow field it holds.  The
 # text table shows the first four; JSON keys are the lowercased headers.
@@ -416,7 +407,7 @@ def render_report(rows: Sequence[MetricsRow], fmt: str = "table") -> str:
     if fmt == "json":
         keys = [header.lower() for header in headers]
         return json.dumps({"rows": [dict(zip(keys, line)) for line in cells]}, indent=2) + "\n"
-    raise InvalidConfig(f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}")
+    raise InvalidConfig(f"unknown report format {fmt!r}; expected one of {tuple(REPORT_FORMATS.values())}")
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +421,13 @@ def synthetic_spec_from_json(doc) -> SyntheticSpec:
 def parse_document(doc, fields: dict, what: str) -> dict:
     """Check an experiment or train document against the sections both
     share plus ``fields`` (key -> JSON type), and decode the shared ones:
-    ``target_mode`` (defaulted), ``bins`` (defaulted, and only for binned
-    targets) and ``pipeline`` (replaced by ``plan`` and ``lexicon``, None
-    when absent)."""
+    ``target_mode`` (defaulted), ``bins`` (by ``target_bins``: None exactly
+    under raw_sales) and ``pipeline`` (replaced by ``plan`` and ``lexicon``,
+    None when absent)."""
     shared = {"target_mode": Literal[RAW_SALES, BINNED_RANGE], "bins": BinSpec, "pipeline": dict}
     doc = check_doc(doc, {**shared, **fields}, InvalidConfig, what)
-    if doc.setdefault("target_mode", BINNED_RANGE) == RAW_SALES and "bins" in doc:
-        raise InvalidConfig(f"{what}.bins: raw_sales targets are not binned; remove bins or use binned_range")
-    doc.setdefault("bins", default_bins())
+    doc.setdefault("target_mode", BINNED_RANGE)
+    doc["bins"] = target_bins(doc["target_mode"], doc.get("bins"), what)
     pipeline = check_doc(
         doc.pop("pipeline", {}), {"plan": dict, "lexicon": ColorLexicon}, InvalidConfig, "pipeline"
     )
@@ -465,6 +455,3 @@ def experiment_from_json(doc) -> ExperimentConfig:
     return ExperimentConfig(data_csv=dataset.get("csv"), schema_path=dataset.get("schema"),
                             synthetic=dataset.get("synthetic"), **doc)
 
-
-def load_experiment(path) -> ExperimentConfig:
-    return experiment_from_json(read_json(path, "experiment", InvalidConfig))

@@ -189,12 +189,8 @@ class EncoderState:
     layout: tuple[str, ...]
 
 
-def _categorical_features(schema: Sequence[ColumnSchema]) -> list[ColumnSchema]:
-    return [c for c in schema if c.role == FEATURE and c.kind == CATEGORICAL]
-
-
-def _numeric_features(schema: Sequence[ColumnSchema]) -> list[ColumnSchema]:
-    return [c for c in schema if c.role == FEATURE and c.kind == NUMERIC]
+def _features(schema: Sequence[ColumnSchema], kind: str) -> list[ColumnSchema]:
+    return [c for c in schema if c.role == FEATURE and c.kind == kind]
 
 
 def _resolve_categoricals(table: DataTable, plan: dict, lexicon: ColorLexicon) -> dict:
@@ -203,7 +199,7 @@ def _resolve_categoricals(table: DataTable, plan: dict, lexicon: ColorLexicon) -
     # Each read once: a cross-fill partner may be any categorical column.
     columns = {c.name: table.column(c.name) for c in table.schema if c.kind == CATEGORICAL}
     resolved: dict[str, list] = {}
-    for col in _categorical_features(table.schema):
+    for col in _features(table.schema, CATEGORICAL):
         strat = plan[col.name]
         raw = columns[col.name]
         if isinstance(strat, CrossFill):
@@ -247,11 +243,11 @@ def fit_pipeline(
     resolved = _resolve_categoricals(train, plan, lexicon)
     vocabularies = {
         col.name: tuple(sorted({v for v in resolved[col.name] if v is not None}))
-        for col in _categorical_features(train.schema)
+        for col in _features(train.schema, CATEGORICAL)
     }
 
     group_means: dict[str, tuple] = {}
-    for col in _numeric_features(train.schema):
+    for col in _features(train.schema, NUMERIC):
         strat = plan[col.name]
         if not isinstance(strat, HierarchicalMean):
             continue
@@ -282,8 +278,8 @@ def fit_pipeline(
 def _layout(schema: Sequence[ColumnSchema], vocabularies: dict) -> tuple[str, ...]:
     """Encoded column names: each numeric feature, then one indicator per
     vocabulary entry of each categorical feature."""
-    layout = [c.name for c in _numeric_features(schema)]
-    for col in _categorical_features(schema):
+    layout = [c.name for c in _features(schema, NUMERIC)]
+    for col in _features(schema, CATEGORICAL):
         layout.extend(f"{col.name}={entry}" for entry in vocabularies[col.name])
     return tuple(layout)
 
@@ -305,7 +301,7 @@ def transform(table: DataTable, state: EncoderState) -> tuple[np.ndarray, np.nda
     resolved = _resolve_categoricals(table, state.plan, state.lexicon)
     matrix = np.zeros((n, len(state.layout)), dtype=np.float64)
 
-    numeric = _numeric_features(table.schema)
+    numeric = _features(table.schema, NUMERIC)
     for j, col in enumerate(numeric):
         # The first tier that saw a row's group fills it, and 0.0 fills the
         # rest: ZeroFill has no tiers.
@@ -325,7 +321,7 @@ def transform(table: DataTable, state: EncoderState) -> tuple[np.ndarray, np.nda
         matrix[:, j] = filled
 
     offset = len(numeric)
-    for col in _categorical_features(table.schema):
+    for col in _features(table.schema, CATEGORICAL):
         vocab = state.vocabularies[col.name]
         index = {v: offset + j for j, v in enumerate(vocab)}
         codes = np.fromiter((index.get(v, -1) for v in resolved[col.name]), dtype=np.intp, count=n)
@@ -385,7 +381,7 @@ def state_from_json(doc) -> EncoderState:
     plan = plan_from_json(doc["plan"])
     _validate_plan(plan, schema)
     vocabularies = doc["vocabularies"]
-    categorical = {c.name for c in _categorical_features(schema)}
+    categorical = {c.name for c in _features(schema, CATEGORICAL)}
     tiers = {n: s.tiers for n, s in plan.items() if isinstance(s, HierarchicalMean)}
     if vocabularies.keys() != categorical or doc["group_means"].keys() != tiers.keys():
         raise InvalidConfig(

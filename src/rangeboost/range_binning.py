@@ -1,4 +1,4 @@
-"""Ordinal binning of raw sales volumes into eight volume ranges."""
+"""Ordinal binning of raw sales volumes into volume ranges, and whether a target is binned."""
 
 from __future__ import annotations
 
@@ -11,6 +11,10 @@ from .errors import InvalidConfig, NegativeValue, NonFiniteInput
 from .jsondoc import from_doc, to_doc
 
 DEFAULT_EDGES = (0.0, 50.0, 100.0, 300.0, 500.0, 1000.0, 3000.0, 5000.0, 10000.0)
+
+# The two target modes: sales volumes as they are, or their range's index.
+RAW_SALES = "raw_sales"
+BINNED_RANGE = "binned_range"
 
 
 def _format_edge(e: float) -> str:
@@ -54,6 +58,18 @@ def default_bins() -> BinSpec:
     return BinSpec(DEFAULT_EDGES)
 
 
+def target_bins(target_mode, bins: BinSpec | None, what: str) -> BinSpec | None:
+    """The bins a target is put in: ``bins`` or the default ones under binned_range,
+    None under raw_sales, which takes none.  ``what`` names the document in errors."""
+    if target_mode == BINNED_RANGE:
+        return bins or default_bins()
+    if target_mode != RAW_SALES:
+        raise InvalidConfig(f"unknown target mode {target_mode!r}")
+    if bins is not None:
+        raise InvalidConfig(f"{what}.bins: raw_sales targets are not binned; remove bins or use binned_range")
+    return None
+
+
 def bin_of(value: float, spec: BinSpec | None = None) -> int:
     """Ordinal index of the range containing ``value``; values at or above
     the top edge, +inf too, clamp to the last bin, and NaN raises."""
@@ -78,7 +94,7 @@ def apply_binning(targets: Sequence[float], spec: BinSpec | None = None) -> list
     return out
 
 
-def bins_to_json(spec: BinSpec) -> dict:
+def bins_to_json(spec: BinSpec | None) -> dict | None:
     return to_doc(spec)
 
 

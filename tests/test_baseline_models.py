@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spoiled_matrices import SPOILED_MATRICES
 from rangeboost import baseline_models
 from rangeboost.baseline_models import (
     GbdtBaselineConfig,
@@ -13,7 +14,7 @@ from rangeboost.baseline_models import (
     linear_to_json,
     svr_objective,
 )
-from rangeboost.boosted_trees import Leaf
+from rangeboost.boosted_trees import FORMAT_VERSION, Leaf
 from rangeboost.errors import EmptyData, InvalidConfig, LayoutMismatch, NonFiniteInput
 
 
@@ -222,16 +223,22 @@ def test_predict_linear_layout_mismatch():
         model.predict(np.zeros((2, 3)))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_linear_predict_rejects_a_non_finite_cell(bad):
+@pytest.mark.parametrize("case", list(SPOILED_MATRICES))
+def test_linear_predict_rejects_a_non_finite_cell(case):
+    spoil, message = SPOILED_MATRICES[case]
     rng = np.random.default_rng(12)
     matrix = rng.normal(size=(20, 3))
     targets = rng.normal(size=20)
     models = [fit_ols(matrix, targets), fit_bayes_ridge(matrix, targets), fit_linear_svr(matrix, targets)]
-    matrix[7, 1] = bad
     for model in models:
-        with pytest.raises(NonFiniteInput, match="predict inputs must be finite"):
-            model.predict(matrix)
+        with pytest.raises(NonFiniteInput, match=f"predict inputs must be {message}"):
+            model.predict(spoil(matrix))
+
+
+def test_fit_ols_rejects_a_matrix_that_is_not_real_numbers():
+    for matrix in ("abc", [[0.0, 1.0], [0.0]], np.zeros((4, 2)) + 1j):
+        with pytest.raises(NonFiniteInput, match="fit inputs must be real numbers"):
+            fit_ols(matrix, np.zeros(4))
 
 
 def test_fit_on_empty_raises():
@@ -255,7 +262,7 @@ def test_config_validation():
 def test_linear_model_serializes_into_shared_envelope():
     model = LinearModel(weights=(1.5, -0.25), intercept=0.75)
     document = linear_to_json(model, feature_layout=("Price", "Rating"))
-    assert document["format_version"] == 1
+    assert document["format_version"] == FORMAT_VERSION == 1
     assert document["kind"] == "linear"
     assert document["weights"] == [1.5, -0.25]
     assert document["intercept"] == 0.75

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_best_split, golden_section_minimize, leaf_objective
+from spoiled_matrices import SPOILED_MATRICES
 from rangeboost import boosted_trees
 from rangeboost.baseline_models import GbdtBaselineConfig, fit_gbdt_first_order
 from rangeboost.boosted_trees import (
@@ -671,6 +672,11 @@ MISMATCHED_INPUTS = {
     "matrix-1d": (np.zeros(4), np.zeros(4), None, LengthMismatch),
     "targets-short": (np.zeros((4, 2)), np.zeros(3), None, LengthMismatch),
     "feature-names-short": (np.zeros((4, 2)), np.zeros(4), ("a",), LayoutMismatch),
+    "matrix-text": ("abc", np.zeros(4), None, NonFiniteInput),
+    "matrix-ragged": ([[0.0, 1.0], [0.0]], np.zeros(2), None, NonFiniteInput),
+    "matrix-object-text": (np.array([[0.0, "abc"]] * 4, dtype=object), np.zeros(4), None, NonFiniteInput),
+    "matrix-complex": (np.zeros((4, 2)) + 1j, np.zeros(4), None, NonFiniteInput),
+    "targets-complex": (np.zeros((4, 2)), np.zeros(4, dtype=complex), None, NonFiniteInput),
 }
 
 
@@ -681,14 +687,14 @@ def test_train_rejects_mismatched_inputs(case):
         train(matrix, targets, TrainConfig(n_trees=1), feature_names=names)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_predict_rejects_a_non_finite_cell(bad):
+@pytest.mark.parametrize("case", list(SPOILED_MATRICES))
+def test_predict_rejects_a_non_finite_cell(case):
+    spoil, message = SPOILED_MATRICES[case]
     rng = np.random.default_rng(12)
     matrix = rng.normal(size=(20, 3))
     model = train(matrix, rng.normal(size=20), TrainConfig(n_trees=3, max_depth=2))
-    matrix[7, 1] = bad
-    with pytest.raises(NonFiniteInput, match="predict inputs must be finite"):
-        model.predict(matrix)
+    with pytest.raises(NonFiniteInput, match=f"predict inputs must be {message}"):
+        model.predict(spoil(matrix))
 
 
 def test_single_leaf_prediction():

@@ -351,6 +351,21 @@ INVALID_CONFIGS = {
     "synthetic-seed-nan": (SyntheticSpec, {"seed": NAN}),
     "experiment-seed-nan": (ExperimentConfig, {"synthetic": SyntheticSpec(), "seed": NAN}),
     "experiment-target-mode-unknown": (ExperimentConfig, {"synthetic": SyntheticSpec(), "target_mode": "banana"}),
+    # Integer fields take what the JSON readers take: no fraction, infinity or bool.
+    "train-n-trees-fraction": (TrainConfig, {"n_trees": 2.5}),
+    "train-max-depth-fraction": (TrainConfig, {"max_depth": 2.5}),
+    "train-max-depth-inf": (TrainConfig, {"max_depth": math.inf}),
+    "svr-epochs-fraction": (SvrConfig, {"epochs": 2.5}),
+    "gbdt-min-samples-leaf-fraction": (GbdtBaselineConfig, {"min_samples_leaf": 1.5}),
+    "synthetic-n-products-fraction": (SyntheticSpec, {"n_products": 20.5}),
+    "synthetic-brand-count-fraction": (SyntheticSpec, {"brand_count": 2.5}),
+    "synthetic-seed-fraction": (SyntheticSpec, {"seed": 1.5}),
+    "experiment-seed-fraction": (ExperimentConfig, {"synthetic": SyntheticSpec(), "seed": 1.5}),
+    "experiment-seed-bool": (ExperimentConfig, {"synthetic": SyntheticSpec(), "seed": True}),
+    "experiment-raw-sales-with-bins": (
+        ExperimentConfig,
+        {"synthetic": SyntheticSpec(), "target_mode": "raw_sales", "bins": BinSpec((0.0, 10.0))},
+    ),
 }
 
 
@@ -359,3 +374,24 @@ def test_config_objects_reject_out_of_range_values(case):
     build, kwargs = INVALID_CONFIGS[case]
     with pytest.raises(InvalidConfig):
         build(**kwargs)
+
+
+def test_config_objects_take_numpy_integers():
+    assert TrainConfig(n_trees=np.int64(3), max_depth=np.int32(2)).n_trees == 3
+    assert SvrConfig(epochs=np.uint8(4)).epochs == 4
+    assert GbdtBaselineConfig(min_samples_leaf=np.int64(2)).min_samples_leaf == 2
+    assert SyntheticSpec(n_products=np.int64(20), brand_count=np.int16(3), seed=np.int64(1)).seed == 1
+    assert ExperimentConfig(synthetic=SyntheticSpec(), seed=np.int64(5)).seed == 5
+
+
+def test_experiment_bins_are_none_exactly_under_raw_sales():
+    raw = {"dataset": {"synthetic": {}}, "target_mode": "raw_sales"}
+    assert experiment_from_json(raw).bins is None
+    assert experiment_from_json({"dataset": {"synthetic": {}}}).bins == default_bins()
+    assert ExperimentConfig(synthetic=SyntheticSpec(), target_mode="raw_sales").bins is None
+    assert ExperimentConfig(synthetic=SyntheticSpec(), target_mode="binned_range").bins == default_bins()
+    custom = BinSpec((0.0, 10.0, 100.0))
+    assert ExperimentConfig(synthetic=SyntheticSpec(), bins=custom).bins is custom
+    # Built in code, raw_sales with bins fails as it does in JSON.
+    with pytest.raises(InvalidConfig, match=r"^experiment\.bins: raw_sales targets are not binned"):
+        ExperimentConfig(synthetic=SyntheticSpec(), target_mode="raw_sales", bins=custom)

@@ -11,6 +11,7 @@ from rangeboost.range_binning import (
     bins_from_json,
     bins_to_json,
     default_bins,
+    target_bins,
 )
 
 
@@ -119,3 +120,15 @@ def test_custom_bins_derive_labels_and_round_trip():
     assert bins_from_json(bins_to_json(spec)) == spec
     assert bin_of(10, spec) == 1
     assert bin_of(250, spec) == 1
+
+
+def test_target_bins_is_the_one_target_rule():
+    custom = BinSpec((0.0, 10.0))
+    assert target_bins("binned_range", custom, "config") is custom
+    assert target_bins("binned_range", None, "config") == default_bins()
+    assert target_bins("raw_sales", None, "config") is None
+    with pytest.raises(InvalidConfig, match=r"^config\.bins: raw_sales targets are not binned"):
+        target_bins("raw_sales", custom, "config")
+    for mode in ("banana", None, 42, "RAW_SALES"):
+        with pytest.raises(InvalidConfig, match="unknown target mode"):
+            target_bins(mode, None, "config")
