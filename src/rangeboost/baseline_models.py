@@ -15,7 +15,7 @@ import numpy as np
 
 from .boosted_trees import FORMAT_VERSION, Ensemble, TrainConfig, check_fit_inputs, check_predict_inputs, train
 from .errors import InvalidConfig, NonFiniteInput
-from .jsondoc import check_value
+from .jsondoc import check_fields
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,8 @@ class GbdtBaselineConfig:
     min_samples_leaf: int = 1
 
     def __post_init__(self):
-        if not check_value(self.min_samples_leaf, int, InvalidConfig, "min_samples_leaf") >= 1:
+        check_fields(self, InvalidConfig)
+        if not self.min_samples_leaf >= 1:
             raise InvalidConfig(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
         self.train_config()  # checks n_trees, learning_rate and max_depth
 
@@ -110,6 +111,7 @@ class SvrConfig:
     epochs: int = 300
 
     def __post_init__(self):
+        check_fields(self, InvalidConfig)
         if not self.epsilon >= 0:
             raise InvalidConfig(f"epsilon must be >= 0, got {self.epsilon}")
         if not self.c > 0:
@@ -118,7 +120,7 @@ class SvrConfig:
             raise InvalidConfig(f"step_size must be > 0, got {self.step_size}")
         if not self.step_decay >= 0:
             raise InvalidConfig(f"step_decay must be >= 0, got {self.step_decay}")
-        if not check_value(self.epochs, int, InvalidConfig, "epochs") >= 0:
+        if not self.epochs >= 0:
             raise InvalidConfig(f"epochs must be >= 0, got {self.epochs}")
 
 

@@ -32,6 +32,7 @@ value repeats at a node every gain equals the sorted scan's to the bit.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, NamedTuple, Sequence
@@ -47,7 +48,7 @@ from .errors import (
     MalformedModel,
     NonFiniteInput,
 )
-from .jsondoc import check_doc, check_value, from_doc, read_json, to_doc
+from .jsondoc import check_doc, check_fields, from_doc, read_json, to_doc
 
 
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
@@ -75,7 +76,8 @@ class TrainConfig:
     base_score: float | None = None
 
     def __post_init__(self):
-        if not check_value(self.n_trees, int, InvalidConfig, "n_trees") >= 0:
+        check_fields(self, InvalidConfig)
+        if not self.n_trees >= 0:
             raise InvalidConfig(f"n_trees must be >= 0, got {self.n_trees}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise InvalidConfig(f"learning_rate must be in (0, 1], got {self.learning_rate}")
@@ -83,12 +85,10 @@ class TrainConfig:
             raise InvalidConfig(f"reg_lambda must be >= 0, got {self.reg_lambda}")
         if not self.gamma >= 0.0:
             raise InvalidConfig(f"gamma must be >= 0, got {self.gamma}")
-        if not check_value(self.max_depth, int, InvalidConfig, "max_depth") >= 1:
+        if not self.max_depth >= 1:
             raise InvalidConfig(f"max_depth must be >= 1, got {self.max_depth}")
         if not self.min_child_weight >= 0.0:
             raise InvalidConfig(f"min_child_weight must be >= 0, got {self.min_child_weight}")
-        if self.base_score is not None and not np.isfinite(self.base_score):
-            raise InvalidConfig(f"base_score must be finite or null, got {self.base_score}")
 
 
 @dataclass(frozen=True)
@@ -356,10 +356,9 @@ def grow_tree(
     return RegressionTree(nodes=tuple(nodes))
 
 
-def _finite_array(value, what: str) -> np.ndarray:
-    """``value`` as a float64 array of finite real numbers, else NonFiniteInput:
-    text, complex numbers and ragged rows are not real, and a NaN would route
-    right at every split."""
+def real_array(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array of real numbers, else NonFiniteInput:
+    text, complex numbers and ragged rows are not real."""
     try:
         array = np.asarray(value)
         array = np.asarray(array.tolist()) if array.dtype == object else array  # a number per cell
@@ -367,7 +366,13 @@ def _finite_array(value, what: str) -> np.ndarray:
             raise TypeError
     except (TypeError, ValueError):  # a ValueError: ragged rows, or text in an object array
         raise NonFiniteInput(f"{what} inputs must be real numbers") from None
-    array = array.astype(np.float64, copy=False)
+    return array.astype(np.float64, copy=False)
+
+
+def _finite_array(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array of finite real numbers, else NonFiniteInput:
+    a NaN would route right at every split."""
+    array = real_array(value, what)
     if not np.isfinite(array).all():
         raise NonFiniteInput(f"{what} inputs must be finite")
     return array
@@ -515,11 +520,12 @@ def _require(condition: bool, location: str, message: str) -> None:
         raise MalformedModel(f"{location}: {message}")
 
 
-def _check_tree(doc, layout_size: int, location: str) -> RegressionTree:
+def _check_tree(doc, layout_size: int, location: str) -> tuple[RegressionTree, float]:
+    """The tree ``doc`` decodes to, and the largest |weight| of its leaves."""
     doc = check_doc(doc, _TREE, MalformedModel, location, required=_TREE.keys())
     size = len(doc["nodes"])
     _require(size > 0, location, "a tree needs at least one node")
-    nodes = []
+    nodes, largest = [], 0.0
     for i, node_doc in enumerate(doc["nodes"]):
         where = f"{location}.nodes[{i}]"
         node = from_doc(Leaf if "weight" in node_doc else Branch, node_doc, MalformedModel, where)
@@ -527,6 +533,8 @@ def _check_tree(doc, layout_size: int, location: str) -> RegressionTree:
             feature, left, right = node.feature, node.left, node.right
             _require(0 <= feature < layout_size, where, f"feature index {feature} not in [0, {layout_size})")
             _require(0 <= left < size and 0 <= right < size, where, f"child {left} or {right} out of range")
+        else:
+            largest = max(largest, abs(node.weight))
         nodes.append(node)
 
     seen: set[int] = set()
@@ -539,23 +547,25 @@ def _check_tree(doc, layout_size: int, location: str) -> RegressionTree:
         if isinstance(node, Branch):
             stack.extend((node.left, node.right))
     _require(len(seen) == size, location, f"{size - len(seen)} node(s) unreachable from the root")
-    return RegressionTree(nodes=tuple(nodes))
+    return RegressionTree(nodes=tuple(nodes)), largest
 
 
 def from_json(doc) -> Ensemble:
     """Validate and decode a model document, bare or a `train` bundle; the
-    error names the first offending location."""
+    error names the first offending location.  |base_score| plus each tree's
+    largest |leaf weight|, summed in tree order, must be finite: rounding is
+    monotone, so that sum bounds every running sum ``Ensemble.predict`` forms."""
     doc = check_doc(doc, {**_ENSEMBLE, **_BUNDLE}, MalformedModel, "model", required=_ENSEMBLE.keys())
-    layout = doc["feature_layout"]
-    trees = tuple(
-        _check_tree(tree, len(layout), f"model.trees[{k}]") for k, tree in enumerate(doc["trees"])
-    )
-    return Ensemble(
-        trees=trees,
-        base_score=float(doc["base_score"]),
-        learning_rate=float(doc["learning_rate"]),
-        feature_layout=layout,
-    )
+    base, rate, layout = float(doc["base_score"]), float(doc["learning_rate"]), doc["feature_layout"]
+    _require(0.0 < rate <= 1.0, "model.learning_rate", f"must be in (0, 1], got {rate}")
+    trees, bound = [], abs(base)
+    for k, tree_doc in enumerate(doc["trees"]):
+        tree, largest = _check_tree(tree_doc, len(layout), f"model.trees[{k}]")
+        trees.append(tree)
+        bound += largest
+    _require(bound <= sys.float_info.max, "model",
+             f"predictions can overflow: |base_score| plus each tree's largest |leaf weight| is {bound}")
+    return Ensemble(trees=tuple(trees), base_score=base, learning_rate=rate, feature_layout=layout)
 
 
 def save_model(document: dict, path) -> None:

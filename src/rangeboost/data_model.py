@@ -22,7 +22,7 @@ from .errors import (
     RowArity,
     UnknownColumn,
 )
-from .jsondoc import check_value, read_json, to_doc
+from .jsondoc import check_fields, check_value, read_json, to_doc
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -44,6 +44,7 @@ class ColumnSchema:
     role: str = FEATURE
 
     def __post_init__(self):
+        check_fields(self, InvalidConfig)
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise InvalidConfig(f"column {self.name!r}: unknown kind {self.kind!r}")
         if self.role not in (FEATURE, TARGET):

@@ -25,17 +25,18 @@ from .baseline_models import (
     fit_linear_svr,
     fit_ols,
 )
-from .boosted_trees import TrainConfig, train
+from .boosted_trees import TrainConfig, real_array, train
 from .data_model import DataTable, default_schema, load_csv, load_schema, split_train_test
 from .errors import EmptyData, InvalidConfig, LengthMismatch
 from .feature_pipeline import ColorLexicon, fit_pipeline, plan_from_json, transform
-from .jsondoc import check_doc, check_value, from_doc
+from .jsondoc import check_doc, check_fields, from_doc
 from .range_binning import BINNED_RANGE, RAW_SALES, BinSpec, apply_binning, target_bins
 
 
 def _as_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(truth, dtype=np.float64)
+    """Both as float64 arrays of real numbers; a non-finite prediction still
+    scores, and the report prints its metrics as failed."""
+    p, t = real_array(pred, "metric"), real_array(truth, "metric")
     if p.ndim != 1 or t.ndim != 1 or p.shape != t.shape:
         raise LengthMismatch(f"prediction/truth shapes differ: {p.shape} vs {t.shape}")
     if p.size == 0:
@@ -142,15 +143,16 @@ class SyntheticSpec:
     seed: int = 7
 
     def __post_init__(self):
-        if not 10 <= check_value(self.n_products, int, InvalidConfig, "n_products") <= MAX_PRODUCTS:
+        check_fields(self, InvalidConfig)
+        if not 10 <= self.n_products <= MAX_PRODUCTS:
             raise InvalidConfig(f"n_products must be in [10, {MAX_PRODUCTS:,}], got {self.n_products}")
         if not self.categories:
             raise InvalidConfig("at least one category is required")
-        if not 1 <= check_value(self.brand_count, int, InvalidConfig, "brand_count") <= MAX_PRODUCTS:
+        if not 1 <= self.brand_count <= MAX_PRODUCTS:
             raise InvalidConfig(f"brand_count must be in [1, {MAX_PRODUCTS:,}], got {self.brand_count}")
         if not self.noise_scale >= 0:
             raise InvalidConfig(f"noise_scale must be >= 0, got {self.noise_scale}")
-        if not check_value(self.seed, int, InvalidConfig, "seed") >= 0:
+        if not self.seed >= 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         unknown = self.missing_rates.keys() - {c.name for c in default_schema()}
         if unknown:
@@ -262,6 +264,7 @@ class ModelSpec:
     settings: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_fields(self, InvalidConfig)
         if self.kind not in MODEL_KINDS:
             raise InvalidConfig(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         target, what = _MODELS[self.kind][0], f"{self.kind} config"
@@ -303,6 +306,7 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        check_fields(self, InvalidConfig)
         if (self.data_csv is None) == (self.synthetic is None):
             raise InvalidConfig("configure exactly one of data_csv or synthetic")
         if self.synthetic is not None and self.schema_path is not None:
@@ -310,7 +314,7 @@ class ExperimentConfig:
         object.__setattr__(self, "bins", target_bins(self.target_mode, self.bins, "experiment"))
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidConfig(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if not check_value(self.seed, int, InvalidConfig, "seed") >= 0:
+        if not self.seed >= 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if not self.models:
             raise InvalidConfig("the model roster must not be empty")

@@ -27,7 +27,7 @@ from .data_model import (
     schema_from_json,
 )
 from .errors import EmptyTrain, InvalidConfig, NonFiniteInput, SchemaMismatch
-from .jsondoc import check_doc, check_value, from_doc, to_doc
+from .jsondoc import check_doc, check_fields, check_value, from_doc, to_doc
 
 UNKNOWN_TOKEN = "unknown"
 COMPOSITE_TOKEN = "composite"
@@ -63,6 +63,7 @@ class ColorLexicon:
     multi_color_delimiters: tuple[str, ...] = DEFAULT_DELIMITERS
 
     def __post_init__(self):
+        check_fields(self, InvalidConfig)
         if not self.base_colors:
             raise InvalidConfig("colour lexicon needs at least one base colour")
         delimiters = self.multi_color_delimiters

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import numbers
 import sys
 import types
@@ -33,16 +34,20 @@ def read_json(path, what: str, error: type[Exception]):
         raise error(f"cannot read {what} file {path}: {exc}") from exc
     except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
         raise error(f"{what} file {path} is not valid JSON: {exc}") from exc
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise error(f"{what} file {path} is nested too deeply") from None
 
 
 def check_value(value, hint, error: type[Exception], where: str):
     """``value`` if it has the JSON type ``hint`` declares, with arrays
     turned into the tuples or frozensets it names and objects into the
     dataclasses it names; else raise ``error``.  ``tuple[A, B]`` is an array
-    of exactly those types, and ``Literal`` names the values allowed."""
+    of exactly those types, and ``Literal`` names the values allowed.  A
+    tuple, or a frozenset where one is declared, may stand for an array."""
     if type(hint) is type:  # a plain type, checked without typing introspection
         if hint is float:  # exact for ints of any size; false for NaN and the infinities
-            ok = _is_number(value) and abs(value) <= sys.float_info.max
+            ok = _is_number(value) and (
+                abs(value) <= sys.float_info.max if type(value) is int else math.isfinite(value))
         elif hint is int:
             ok = type(value) is int or _is_number(value) and isinstance(value, numbers.Integral)
         else:
@@ -58,7 +63,7 @@ def check_value(value, hint, error: type[Exception], where: str):
             return None
         (hint,) = (a for a in args if a is not type(None))
         return check_value(value, hint, error, where)
-    if origin in (tuple, frozenset) and isinstance(value, list):
+    if origin in (tuple, frozenset) and isinstance(value, (list, tuple, origin)):
         hints = args if origin is tuple and args[-1] is not ... else args[:1] * len(value)
         if len(hints) == len(value):
             items = enumerate(zip(value, hints))
@@ -91,11 +96,19 @@ def check_doc(doc, fields: dict, error: type[Exception], what: str, required=fro
 
 @functools.cache
 def _declaration(cls) -> tuple[dict, frozenset]:
-    """The field types of the dataclass ``cls`` in declaration order and the
-    names of the fields without a default, worked out once per class."""
-    fields, hints = dataclass_fields(cls), typing.get_type_hints(cls)
+    """The types of the dataclass ``cls``'s ``__init__`` fields in declaration
+    order and the names of those without a default, worked out once per class."""
+    fields, hints = [f for f in dataclass_fields(cls) if f.init], typing.get_type_hints(cls)
     required = frozenset(f.name for f in fields if f.default is f.default_factory is MISSING)
     return {f.name: hints[f.name] for f in fields}, required
+
+
+def check_fields(obj, error: type[Exception]) -> None:
+    """Raise ``error`` unless each field of the dataclass instance ``obj`` has
+    its declared type, by the rule ``check_value`` applies to JSON: a config
+    built in code takes exactly what its JSON document takes."""
+    for name, hint in _declaration(type(obj))[0].items():
+        check_value(getattr(obj, name), hint, error, name)
 
 
 def from_doc(cls, doc, error: type[Exception], what: str):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidConfig, NegativeValue, NonFiniteInput
-from .jsondoc import from_doc, to_doc
+from .jsondoc import check_fields, from_doc, to_doc
 
 DEFAULT_EDGES = (0.0, 50.0, 100.0, 300.0, 500.0, 1000.0, 3000.0, 5000.0, 10000.0)
 
@@ -30,6 +30,7 @@ class BinSpec:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        check_fields(self, InvalidConfig)
         edges = tuple(float(e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
         if len(edges) < 2:

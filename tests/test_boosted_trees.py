@@ -798,3 +798,28 @@ def test_from_json_rejects_bad_shapes():
         from_json(_document_with_nodes([{"weight": float("nan")}]))
     with pytest.raises(MalformedModel):
         from_json(_document_with_nodes([{"feature": 0, "threshold": 1.0, "left": 1}]))
+
+
+
+def test_from_json_bounds_every_running_sum_of_predict():
+    """|base_score| plus each tree's largest |leaf weight| must be finite.  A
+    sum of exactly the largest float loads and predicts finite values; one
+    float more, or a second tree, overflows and is rejected."""
+    big = float(np.finfo(np.float64).max)
+    split = {"feature": 0, "threshold": 0.0, "left": 1, "right": 2}
+    tree = {"root": 0, "nodes": [split, {"weight": -1e308}, {"weight": 1e308}]}
+    at_limit = {**_document_with_nodes([]), "base_score": big - 1e308, "trees": [tree]}  # exact
+    predictions = from_json(at_limit).predict(np.array([[-1.0, 0.0], [1.0, 0.0]]))
+    assert predictions.tolist() == [big - 1e308 - 1e308, big]
+    for over in (
+        {**at_limit, "base_score": float(np.nextafter(big - 1e308, np.inf))},
+        {**at_limit, "trees": [tree, tree]},
+    ):
+        with pytest.raises(MalformedModel, match=r"^model: predictions can overflow"):
+            from_json(over)
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.1, 1.5])
+def test_from_json_rejects_learning_rate_outside_unit_interval(rate):
+    with pytest.raises(MalformedModel, match=r"^model\.learning_rate: must be in \(0, 1\]"):
+        from_json({**_document_with_nodes([{"weight": 0.5}]), "learning_rate": rate})

@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import math
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -238,10 +241,21 @@ HUGE_SALES_ROWS = "".join(
 # Ten rows whose only Sales value is row 5, a test row of the seed-7 split.
 SALES_IN_TEST_ROW_ONLY = "".join(f"{CSV_ROW},{150 if i == 5 else ''}\n" for i in range(10))
 TINY_EXPERIMENT = {"dataset": {"synthetic": {"n_products": 60, "seed": 5}}}
+# Arrays nested past the JSON decoder's recursion limit.
+DEEP_JSON = b"[" * 3000 + b"]" * 3000
 CATEGORICAL_TARGET = [
     {**column, "kind": "categorical"} if column["role"] == "target" else column
     for column in schema_to_json(default_schema())
 ]
+
+
+def _leaves_at_1e308(document):
+    """Base score and every leaf weight 1e308: each prediction overflows to inf."""
+    document["base_score"] = 1e308
+    for tree in document["trees"]:
+        for node in tree["nodes"]:
+            if "weight" in node:
+                node["weight"] = 1e308
 
 
 def _categorical_target(document):
@@ -525,6 +539,14 @@ MALFORMED_INPUTS = {
     "experiment-train-fraction-above-one": ("compare", "--experiment", {**TINY_EXPERIMENT, "train_fraction": 1.5}, 2),
     "synth-categories-empty": ("synth", "--spec", {"categories": []}, 2),
     "synth-noise-scale-negative": ("synth", "--spec", {"noise_scale": -1.0}, 2),
+    "experiment-nested-too-deeply": ("compare", "--experiment", DEEP_JSON, 2),
+    "train-config-nested-too-deeply": ("train", "--config", DEEP_JSON, 2),
+    "synth-spec-nested-too-deeply": ("synth", "--spec", DEEP_JSON, 2),
+    "schema-nested-too-deeply": ("train", "--schema", DEEP_JSON, 2),
+    "model-nested-too-deeply": ("predict", "--model", DEEP_JSON, 4),
+    "model-predictions-overflow": ("predict", "--model", _leaves_at_1e308, 4),
+    "model-learning-rate-above-one": ("predict", "--model", lambda d: d.update(learning_rate=1.5), 4),
+    "model-learning-rate-zero": ("predict", "--model", lambda d: d.update(learning_rate=0.0), 4),
 }
 
 
@@ -751,6 +773,48 @@ def test_mutated_document_never_raises(kind, trained, data):
         "experiment": ["compare", "--experiment", fuzzed, "--out", root / "fuzzed-report.json"],
     }[kind]
     assert main([str(part) for part in argv]) in (0, 2, 3, 4)
+
+
+# Floats at the limits of float64 and next to zero.
+EXTREME_FLOATS = (1e308, -1e308, sys.float_info.max, -sys.float_info.max, 5e-324, -5e-324,
+                  sys.float_info.min, -0.0)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_model_with_extreme_floats_predicts_finite_or_exits_4(trained, data):
+    """Setting leaf weights, thresholds and base_score of a trained model to
+    extreme floats, or to a neighbour of their value, makes predict write
+    finite predictions or exit 4 with one line on stderr; no numpy warning
+    (an error under this suite's filterwarnings) and no traceback."""
+    csv_path, model = trained
+    document = json.loads(model.read_text(encoding="utf-8"))
+
+    def extreme(old):
+        neighbours = (math.nextafter(old, math.inf), math.nextafter(old, -math.inf))
+        return data.draw(st.sampled_from(EXTREME_FLOATS + neighbours))
+
+    if data.draw(st.booleans()):
+        document["base_score"] = extreme(document["base_score"])
+    for tree in document["trees"]:  # all leaves of a tree at once, so that sums can overflow
+        leaves = [node for node in tree["nodes"] if "weight" in node]
+        if data.draw(st.booleans()):
+            weight = extreme(leaves[0]["weight"])
+            for leaf in leaves:
+                leaf["weight"] = weight
+    branches = [node for tree in document["trees"] for node in tree["nodes"] if "threshold" in node]
+    for branch in data.draw(st.lists(st.sampled_from(branches), max_size=3)):
+        branch["threshold"] = extreme(branch["threshold"])
+    fuzzed, out = model.parent / "extreme.json", model.parent / "extreme.csv"
+    fuzzed.write_text(json.dumps(document), encoding="utf-8")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["predict", "--model", str(fuzzed), "--data", str(csv_path), "--out", str(out)])
+    if code == 0:
+        predictions = [float(line) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert len(predictions) == 40 and all(map(math.isfinite, predictions))
+    else:
+        assert code == 4
+        assert err.getvalue().startswith("model error: ") and err.getvalue().count("\n") == 1
 
 
 # Header mutations act on a whole column, its name and every cell.

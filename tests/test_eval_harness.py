@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import rangeboost.eval_harness as harness
 from rangeboost.baseline_models import GbdtBaselineConfig, SvrConfig, fit_bayes_ridge
 from rangeboost.boosted_trees import TrainConfig
 from rangeboost.data_model import default_schema, load_csv, write_csv
-from rangeboost.errors import EmptyData, InvalidConfig, LengthMismatch
+from rangeboost.errors import EmptyData, InvalidConfig, LengthMismatch, NonFiniteInput
 from rangeboost.eval_harness import (
     ExperimentConfig,
     MetricsRow,
@@ -24,6 +25,7 @@ from rangeboost.eval_harness import (
     run_experiment,
     synthetic_spec_from_json,
 )
+from rangeboost.feature_pipeline import ColorLexicon, normalize_color
 from rangeboost.range_binning import BinSpec, apply_binning, default_bins
 
 
@@ -41,6 +43,25 @@ def test_metric_errors():
         mse([1.0], [1.0, 2.0])
     with pytest.raises(EmptyData):
         mse([], [])
+
+
+@pytest.mark.parametrize("pred, truth", [
+    (np.array([1 + 5j, 2]), [1, 2]),  # a cast to float would drop the imaginary part
+    (["a"], [1]),
+    ([1.0, 2.0], ["1", "2"]),
+    ([[1.0], [1.0, 2.0]], [1.0, 2.0]),
+], ids=["complex", "text", "numeric-text", "ragged"])
+@pytest.mark.parametrize("metric", [mse, rmse, mae])
+def test_metrics_take_real_numbers_only(metric, pred, truth):
+    with pytest.raises(NonFiniteInput, match="^metric inputs must be real numbers$"):
+        metric(pred, truth)
+
+
+def test_metrics_score_non_finite_predictions():
+    """A diverged model's predictions still score; the report prints them as failed."""
+    assert mse([math.inf, 1.0], [1.0, 1.0]) == math.inf
+    assert math.isnan(mae([math.nan], [1.0]))
+    assert mse(np.array([True, False]), np.array([1, 0], dtype=np.int8)) == 0.0
 
 
 def test_metric_identities_random_pairs():
@@ -382,6 +403,28 @@ def test_config_objects_take_numpy_integers():
     assert GbdtBaselineConfig(min_samples_leaf=np.int64(2)).min_samples_leaf == 2
     assert SyntheticSpec(n_products=np.int64(20), brand_count=np.int16(3), seed=np.int64(1)).seed == 1
     assert ExperimentConfig(synthetic=SyntheticSpec(), seed=np.int64(5)).seed == 5
+    # An array may be a list or a tuple, and a number a numpy float.
+    for edges in ([0, 10.0], (0, 10.0), [np.float64(0), np.float32(10)]):
+        assert BinSpec(edges, labels=["all"]).edges == (0.0, 10.0)
+    for categories in (["mice", "desks"], ("mice", "desks")):
+        spec = SyntheticSpec(n_products=20, categories=categories, missing_rates={"Price": np.float64(0.5)})
+        assert generate_synthetic(spec) == generate_synthetic(replace(spec, categories=("mice", "desks")))
+    # A frozenset has no order, so it is an array only where a set of values is declared.
+    with pytest.raises(InvalidConfig, match=r"^categories must be an array, got frozenset"):
+        SyntheticSpec(categories=frozenset({"mice"}))
+    assert normalize_color("pale teal", ColorLexicon(base_colors=["teal"], modifier_tokens=("pale",))) == "teal"
+    floats = {
+        TrainConfig: {"learning_rate": 0.5, "reg_lambda": 2.0, "gamma": 0.1, "min_child_weight": 2.0,
+                      "base_score": -1.5},
+        GbdtBaselineConfig: {"learning_rate": 0.5},
+        SvrConfig: {"epsilon": 0.2, "c": 2.0, "step_size": 1e-3, "step_decay": 0.5},
+        SyntheticSpec: {"noise_scale": 0.3},
+        ExperimentConfig: {"train_fraction": 0.6},
+    }
+    for cls, values in floats.items():
+        base = {"synthetic": SyntheticSpec()} if cls is ExperimentConfig else {}
+        built = cls(**base, **{name: np.float64(value) for name, value in values.items()})
+        assert all(getattr(built, name) == value for name, value in values.items())
 
 
 def test_experiment_bins_are_none_exactly_under_raw_sales():

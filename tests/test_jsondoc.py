@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import typing
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
@@ -12,9 +13,9 @@ import pytest
 from rangeboost import jsondoc
 from rangeboost.baseline_models import GbdtBaselineConfig, SvrConfig
 from rangeboost.boosted_trees import Branch, Leaf, TrainConfig, from_json, to_json, train
-from rangeboost.data_model import CATEGORICAL, TARGET, ColumnSchema
+from rangeboost.data_model import CATEGORICAL, NUMERIC, TARGET, ColumnSchema
 from rangeboost.errors import InvalidConfig
-from rangeboost.eval_harness import SyntheticSpec, generate_synthetic
+from rangeboost.eval_harness import ExperimentConfig, ModelSpec, SyntheticSpec, generate_synthetic
 from rangeboost.feature_pipeline import (
     ColorLexicon,
     ColorNormalize,
@@ -96,6 +97,13 @@ def test_array_of_dataclasses_decodes():
         check_value([doc[0], {"name": "Hue"}], hint, InvalidConfig, "schema")
 
 
+def test_read_json_reports_deep_nesting_as_the_callers_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 3000 + "]" * 3000, encoding="utf-8")
+    with pytest.raises(InvalidConfig, match=r"^train config file .*deep\.json is nested too deeply$"):
+        jsondoc.read_json(path, "train config", InvalidConfig)
+
+
 def test_decoding_a_model_reads_each_declaration_once(monkeypatch):
     table = generate_synthetic(SyntheticSpec(n_products=60, seed=5))
     state = fit_pipeline(table)
@@ -114,3 +122,36 @@ def test_decoding_a_model_reads_each_declaration_once(monkeypatch):
     assert state_from_json(document["pipeline"]) == state
     assert {Leaf, Branch, ColumnSchema, ColorLexicon} <= calls.keys()
     assert max(calls.values()) == 1
+
+
+# Every config dataclass, and the arguments it needs besides the one under test.
+CONFIGS = {
+    TrainConfig: {}, GbdtBaselineConfig: {}, SvrConfig: {}, SyntheticSpec: {},
+    ModelSpec: {"name": "m", "kind": "ols"}, ExperimentConfig: {"synthetic": SyntheticSpec()},
+    BinSpec: {"edges": (0.0, 10.0)}, ColorLexicon: {}, ColumnSchema: {"name": "Size", "kind": NUMERIC},
+}
+# Each field of each, from the declaration check_fields reads, so a field added later is covered.
+FIELDS = [(cls, name, hint) for cls in CONFIGS for name, hint in jsondoc._declaration(cls)[0].items()]
+NUMBER_FIELDS = [(cls, name) for cls, name, hint in FIELDS if {int, float} & {hint, *typing.get_args(hint)}]
+
+
+def _field_id(value):
+    return getattr(value, "__name__", value)
+
+
+@pytest.mark.parametrize("cls, name", NUMBER_FIELDS, ids=_field_id)
+@pytest.mark.parametrize("bad", [True, math.nan, "1"], ids=["bool", "nan", "text"])
+def test_number_fields_follow_the_json_type_rule(cls, name, bad):
+    """A config built in code takes in a number field what JSON takes there:
+    no bool, NaN or text."""
+    cls(**CONFIGS[cls])
+    with pytest.raises(InvalidConfig, match=f"^{name} must be "):
+        cls(**{**CONFIGS[cls], name: bad})
+
+
+@pytest.mark.parametrize("cls, name", [(cls, name) for cls, name, _ in FIELDS], ids=_field_id)
+def test_every_config_field_is_type_checked(cls, name):
+    """Every field is checked before any bound: a value of no JSON type fails
+    with the field's name."""
+    with pytest.raises(InvalidConfig, match=f"^{name} must be "):
+        cls(**{**CONFIGS[cls], name: object()})
