@@ -10,12 +10,13 @@ isolates that regularization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .boosted_trees import FORMAT_VERSION, Ensemble, TrainConfig, check_fit_inputs, check_predict_inputs, train
 from .errors import InvalidConfig, NonFiniteInput
-from .jsondoc import check_fields
+from .jsondoc import Bound, check_fields
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,10 @@ class GbdtBaselineConfig:
     n_trees: int = 200
     learning_rate: float = 0.1
     max_depth: int = 6
-    min_samples_leaf: int = 1
+    min_samples_leaf: Annotated[int, Bound(1)] = 1
 
     def __post_init__(self):
         check_fields(self, InvalidConfig)
-        if not self.min_samples_leaf >= 1:
-            raise InvalidConfig(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
         self.train_config()  # checks n_trees, learning_rate and max_depth
 
     def train_config(self) -> TrainConfig:
@@ -104,24 +103,14 @@ class SvrConfig:
     applied to the mean subgradient; full-batch updates make the fit
     deterministic."""
 
-    epsilon: float = 0.1
-    c: float = 1.0
-    step_size: float = 1e-5
-    step_decay: float = 0.02
-    epochs: int = 300
+    epsilon: Annotated[float, Bound(0)] = 0.1
+    c: Annotated[float, Bound(0, open_lo=True)] = 1.0
+    step_size: Annotated[float, Bound(0, open_lo=True)] = 1e-5
+    step_decay: Annotated[float, Bound(0)] = 0.02
+    epochs: Annotated[int, Bound(0)] = 300
 
     def __post_init__(self):
         check_fields(self, InvalidConfig)
-        if not self.epsilon >= 0:
-            raise InvalidConfig(f"epsilon must be >= 0, got {self.epsilon}")
-        if not self.c > 0:
-            raise InvalidConfig(f"regularization c must be > 0, got {self.c}")
-        if not self.step_size > 0:
-            raise InvalidConfig(f"step_size must be > 0, got {self.step_size}")
-        if not self.step_decay >= 0:
-            raise InvalidConfig(f"step_decay must be >= 0, got {self.step_decay}")
-        if not self.epochs >= 0:
-            raise InvalidConfig(f"epochs must be >= 0, got {self.epochs}")
 
 
 def svr_objective(weights, intercept, matrix, targets, epsilon: float, c: float) -> float:

@@ -35,7 +35,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, NamedTuple, Sequence
+from typing import Annotated, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .errors import (
     MalformedModel,
     NonFiniteInput,
 )
-from .jsondoc import check_doc, check_fields, from_doc, read_json, to_doc
+from .jsondoc import Bound, check_doc, check_fields, from_doc, read_json, to_doc
 
 
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
@@ -63,32 +63,19 @@ def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
 class TrainConfig:
     """Hyperparameters for the second-order learner.
 
-    ``base_score=None`` means "use the training-target mean".  Every bound
-    is written so that NaN fails it.
+    ``base_score=None`` means "use the training-target mean".
     """
 
-    n_trees: int = 200
-    learning_rate: float = 0.1
-    reg_lambda: float = 1.0
-    gamma: float = 0.0
-    max_depth: int = 6
-    min_child_weight: float = 1.0
+    n_trees: Annotated[int, Bound(0)] = 200
+    learning_rate: Annotated[float, Bound(0, 1, open_lo=True)] = 0.1
+    reg_lambda: Annotated[float, Bound(0)] = 1.0
+    gamma: Annotated[float, Bound(0)] = 0.0
+    max_depth: Annotated[int, Bound(1)] = 6
+    min_child_weight: Annotated[float, Bound(0)] = 1.0
     base_score: float | None = None
 
     def __post_init__(self):
         check_fields(self, InvalidConfig)
-        if not self.n_trees >= 0:
-            raise InvalidConfig(f"n_trees must be >= 0, got {self.n_trees}")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise InvalidConfig(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if not self.reg_lambda >= 0.0:
-            raise InvalidConfig(f"reg_lambda must be >= 0, got {self.reg_lambda}")
-        if not self.gamma >= 0.0:
-            raise InvalidConfig(f"gamma must be >= 0, got {self.gamma}")
-        if not self.max_depth >= 1:
-            raise InvalidConfig(f"max_depth must be >= 1, got {self.max_depth}")
-        if not self.min_child_weight >= 0.0:
-            raise InvalidConfig(f"min_child_weight must be >= 0, got {self.min_child_weight}")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -40,15 +40,11 @@ class ColumnSchema:
     """One column: its name, value kind, and model role."""
 
     name: str
-    kind: str
-    role: str = FEATURE
+    kind: Literal[NUMERIC, CATEGORICAL]
+    role: Literal[FEATURE, TARGET] = FEATURE
 
     def __post_init__(self):
         check_fields(self, InvalidConfig)
-        if self.kind not in (NUMERIC, CATEGORICAL):
-            raise InvalidConfig(f"column {self.name!r}: unknown kind {self.kind!r}")
-        if self.role not in (FEATURE, TARGET):
-            raise InvalidConfig(f"column {self.name!r}: unknown role {self.role!r}")
         if not self.name:
             raise InvalidConfig("column name must be non-empty")
 

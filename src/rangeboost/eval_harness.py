@@ -13,7 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Annotated, Literal, Sequence, get_type_hints
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .boosted_trees import TrainConfig, real_array, train
 from .data_model import DataTable, default_schema, load_csv, load_schema, split_train_test
 from .errors import EmptyData, InvalidConfig, LengthMismatch
 from .feature_pipeline import ColorLexicon, fit_pipeline, plan_from_json, transform
-from .jsondoc import check_doc, check_fields, from_doc
+from .jsondoc import Bound, check_doc, check_fields, from_doc
 from .range_binning import BINNED_RANGE, RAW_SALES, BinSpec, apply_binning, target_bins
 
 
@@ -135,31 +135,20 @@ MAX_PRODUCTS = 10_000_000
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    n_products: int = 1565
+    n_products: Annotated[int, Bound(10, MAX_PRODUCTS)] = 1565
     categories: tuple[str, ...] = DEFAULT_CATEGORIES
-    brand_count: int = 12
-    missing_rates: dict[str, float] = field(default_factory=default_missing_rates)
-    noise_scale: float = 0.65
-    seed: int = 7
+    brand_count: Annotated[int, Bound(1, MAX_PRODUCTS)] = 12
+    missing_rates: dict[str, Annotated[float, Bound(0, 1)]] = field(default_factory=default_missing_rates)
+    noise_scale: Annotated[float, Bound(0)] = 0.65
+    seed: Annotated[int, Bound(0)] = 7
 
     def __post_init__(self):
         check_fields(self, InvalidConfig)
-        if not 10 <= self.n_products <= MAX_PRODUCTS:
-            raise InvalidConfig(f"n_products must be in [10, {MAX_PRODUCTS:,}], got {self.n_products}")
         if not self.categories:
             raise InvalidConfig("at least one category is required")
-        if not 1 <= self.brand_count <= MAX_PRODUCTS:
-            raise InvalidConfig(f"brand_count must be in [1, {MAX_PRODUCTS:,}], got {self.brand_count}")
-        if not self.noise_scale >= 0:
-            raise InvalidConfig(f"noise_scale must be >= 0, got {self.noise_scale}")
-        if not self.seed >= 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         unknown = self.missing_rates.keys() - {c.name for c in default_schema()}
         if unknown:
             raise InvalidConfig(f"missing rates name columns not in the schema: {sorted(unknown)}")
-        for name, rate in self.missing_rates.items():
-            if not 0.0 <= rate <= 1.0:
-                raise InvalidConfig(f"missing rate for {name!r} must be in [0, 1], got {rate}")
 
 
 def generate_synthetic(spec: SyntheticSpec | None = None) -> DataTable:
@@ -247,7 +236,8 @@ _MODELS = {
     "boosted_trees": (TrainConfig, lambda x, y, c, layout: train(x, y, c, feature_names=layout)),
     "gbdt": (GbdtBaselineConfig, lambda x, y, c, layout: fit_gbdt_first_order(x, y, c)),
     "ols": ({}, lambda x, y, c, layout: fit_ols(x, y, **c)),
-    "bayes_ridge": ({"alpha": float}, lambda x, y, c, layout: fit_bayes_ridge(x, y, **c)),
+    "bayes_ridge": ({"alpha": Annotated[float, Bound(0, open_lo=True)]},
+                    lambda x, y, c, layout: fit_bayes_ridge(x, y, **c)),
     "linear_svr": (SvrConfig, lambda x, y, c, layout: fit_linear_svr(x, y, c)),
 }
 MODEL_KINDS = tuple(_MODELS)
@@ -259,19 +249,15 @@ class ModelSpec:
     kept, decoded, in ``settings``, so a bad config never reaches a fit."""
 
     name: str
-    kind: str
+    kind: Literal[MODEL_KINDS]
     config: dict = field(default_factory=dict)
     settings: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self, InvalidConfig)
-        if self.kind not in MODEL_KINDS:
-            raise InvalidConfig(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         target, what = _MODELS[self.kind][0], f"{self.kind} config"
         if isinstance(target, dict):
             settings = check_doc(self.config, target, InvalidConfig, what)
-            if not settings.get("alpha", 1.0) > 0:
-                raise InvalidConfig(f"prior precision must be positive, got {settings['alpha']}")
         else:
             settings = from_doc(target, self.config, InvalidConfig, what)
         object.__setattr__(self, "settings", settings)
@@ -297,8 +283,8 @@ class ExperimentConfig:
     synthetic: SyntheticSpec | None = None
     target_mode: str = BINNED_RANGE
     bins: BinSpec | None = None
-    train_fraction: float = 0.8
-    seed: int = 7
+    train_fraction: Annotated[float, Bound(0, 1, open_lo=True, open_hi=True)] = 0.8
+    seed: Annotated[int, Bound(0)] = 7
     models: tuple[ModelSpec, ...] = field(default_factory=default_models)
     plan: dict | None = None
     lexicon: ColorLexicon | None = None
@@ -312,10 +298,6 @@ class ExperimentConfig:
         if self.synthetic is not None and self.schema_path is not None:
             raise InvalidConfig("a synthetic dataset has the default schema and takes no schema file")
         object.__setattr__(self, "bins", target_bins(self.target_mode, self.bins, "experiment"))
-        if not 0.0 < self.train_fraction < 1.0:
-            raise InvalidConfig(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if not self.seed >= 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if not self.models:
             raise InvalidConfig("the model roster must not be empty")
         if self.round_predictions and self.bins is None:
@@ -440,11 +422,14 @@ def parse_document(doc, fields: dict, what: str) -> dict:
     return doc
 
 
-# JSON types of the experiment's own keys, of its dataset and of a roster entry
-_EXPERIMENT_FIELDS = {"dataset": dict, "train_fraction": float, "seed": int, "models": list,
-                      "round_predictions": bool, "output": str | None}
+# JSON types of the experiment's own keys (the ones it shares with
+# ExperimentConfig as declared there, bounds included), of its dataset and of
+# a roster entry
+_EXPERIMENT_FIELDS = {"dataset": dict, "models": list, **{
+    key: hint for key, hint in get_type_hints(ExperimentConfig, include_extras=True).items()
+    if key in ("train_fraction", "seed", "round_predictions", "output")}}
 _DATASET_FIELDS = {"csv": str, "schema": str, "synthetic": SyntheticSpec}
-_ENTRY_FIELDS = {"name": str, "kind": str, "config": dict}
+_ENTRY_FIELDS = {"name": str, "kind": Literal[MODEL_KINDS], "config": dict}
 
 
 def experiment_from_json(doc) -> ExperimentConfig:

@@ -4,7 +4,8 @@ Every JSON document the package reads (experiment, train config, synthetic
 spec, schema, model) goes through ``read_json`` and, part by part, through
 ``check_doc``, ``from_doc`` or ``check_value``.  Each takes the caller's
 error class, so a failure maps to the exit code of the file it came from.
-A dataclass field may itself be a dataclass, read by ``from_doc`` in turn.
+A dataclass field may itself be a dataclass, read by ``from_doc`` in turn,
+and a number field may carry its ``Bound``, checked with its type.
 Writers build their documents with ``to_doc``, the inverse of ``from_doc``,
 so a format's keys are declared once, by the dataclass both sides use.
 """
@@ -18,7 +19,7 @@ import numbers
 import sys
 import types
 import typing
-from dataclasses import MISSING, is_dataclass
+from dataclasses import MISSING, dataclass, is_dataclass
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -38,12 +39,34 @@ def read_json(path, what: str, error: type[Exception]):
         raise error(f"{what} file {path} is nested too deeply") from None
 
 
-def check_value(value, hint, error: type[Exception], where: str):
+@dataclass(frozen=True)
+class Bound:
+    """The range a number field allows, declared as ``Annotated`` metadata:
+    ``Annotated[int, Bound(0)]`` is ``>= 0`` and ``Bound(0, 1, open_lo=True)``
+    is ``in (0, 1]``."""
+
+    lo: float
+    hi: float | None = None
+    open_lo: bool = False
+    open_hi: bool = False
+
+    def admits(self, value) -> bool:
+        above = value > self.lo if self.open_lo else value >= self.lo
+        return above and (self.hi is None or (value < self.hi if self.open_hi else value <= self.hi))
+
+    def __str__(self) -> str:
+        if self.hi is None:
+            return f"{'>' if self.open_lo else '>='} {self.lo}"
+        return f"in {'(' if self.open_lo else '['}{self.lo}, {self.hi}{')' if self.open_hi else ']'}"
+
+
+def check_value(value, hint, error: type[Exception], where: str, decode: bool = True):
     """``value`` if it has the JSON type ``hint`` declares, with arrays
-    turned into the tuples or frozensets it names and objects into the
-    dataclasses it names; else raise ``error``.  ``tuple[A, B]`` is an array
-    of exactly those types, and ``Literal`` names the values allowed.  A
-    tuple, or a frozenset where one is declared, may stand for an array."""
+    turned into the tuples or frozensets it names and, if ``decode``, objects
+    into the dataclasses it names; else raise ``error``.  ``tuple[A, B]`` is
+    an array of exactly those types, ``Literal`` names the values allowed,
+    and ``Annotated[T, Bound(...)]`` is a T within each bound.  A tuple, or a
+    frozenset where one is declared, may stand for an array."""
     if type(hint) is type:  # a plain type, checked without typing introspection
         if hint is float:  # exact for ints of any size; false for NaN and the infinities
             ok = _is_number(value) and (
@@ -55,21 +78,29 @@ def check_value(value, hint, error: type[Exception], where: str):
         if ok:
             return value
         if is_dataclass(hint):
-            return from_doc(hint, value, error, where)
+            if decode:
+                return from_doc(hint, value, error, where)
+            raise error(f"{where} must be a {hint.__name__}, got {value!r}")
         raise error(f"{where} must be {_NAMES[hint]}, got {value!r}")
     origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Annotated:  # the type's rule first, so bools, NaN and text fail as above
+        value = check_value(value, args[0], error, where, decode)
+        for bound in hint.__metadata__:
+            if not bound.admits(value):
+                raise error(f"{where} must be {bound}, got {value!r}")
+        return value
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
             return None
         (hint,) = (a for a in args if a is not type(None))
-        return check_value(value, hint, error, where)
+        return check_value(value, hint, error, where, decode)
     if origin in (tuple, frozenset) and isinstance(value, (list, tuple, origin)):
         hints = args if origin is tuple and args[-1] is not ... else args[:1] * len(value)
         if len(hints) == len(value):
             items = enumerate(zip(value, hints))
-            return origin(check_value(v, h, error, f"{where}[{i}]") for i, (v, h) in items)
+            return origin(check_value(v, h, error, f"{where}[{i}]", decode) for i, (v, h) in items)
     if origin is dict and isinstance(value, dict):
-        return {k: check_value(v, args[1], error, f"{where}.{k}") for k, v in value.items()}
+        return {k: check_value(v, args[1], error, f"{where}.{k}", decode) for k, v in value.items()}
     if origin is typing.Literal and any(type(value) is type(a) and value == a for a in args):
         return value  # 1 == 1.0 == True, hence the type test
     expected = f"one of {list(args)}" if origin is typing.Literal else _NAMES[origin]
@@ -98,17 +129,18 @@ def check_doc(doc, fields: dict, error: type[Exception], what: str, required=fro
 def _declaration(cls) -> tuple[dict, frozenset]:
     """The types of the dataclass ``cls``'s ``__init__`` fields in declaration
     order and the names of those without a default, worked out once per class."""
-    fields, hints = [f for f in dataclass_fields(cls) if f.init], typing.get_type_hints(cls)
+    fields, hints = [f for f in dataclass_fields(cls) if f.init], typing.get_type_hints(cls, include_extras=True)
     required = frozenset(f.name for f in fields if f.default is f.default_factory is MISSING)
     return {f.name: hints[f.name] for f in fields}, required
 
 
 def check_fields(obj, error: type[Exception]) -> None:
     """Raise ``error`` unless each field of the dataclass instance ``obj`` has
-    its declared type, by the rule ``check_value`` applies to JSON: a config
-    built in code takes exactly what its JSON document takes."""
+    its declared type and bounds, by the rule ``check_value`` applies to JSON:
+    a config built in code takes what its JSON document takes, except that a
+    dataclass field takes an instance, not the object it is decoded from."""
     for name, hint in _declaration(type(obj))[0].items():
-        check_value(getattr(obj, name), hint, error, name)
+        check_value(getattr(obj, name), hint, error, name, decode=False)
 
 
 def from_doc(cls, doc, error: type[Exception], what: str):

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangeboost import boosted_trees, cli, eval_harness
+from rangeboost import boosted_trees, cli, eval_harness, feature_pipeline
 from rangeboost.cli import main
 from rangeboost.data_model import default_schema, load_csv, schema_to_json
 from rangeboost.eval_harness import experiment_from_json
-from rangeboost.feature_pipeline import ColorLexicon, default_plan, plan_to_json, state_from_json, transform
+from rangeboost.feature_pipeline import ColorLexicon, default_plan, plan_to_json, state_from_json, state_to_json, transform
 from rangeboost.jsondoc import to_doc
 from rangeboost.range_binning import bins_to_json, default_bins
 
@@ -565,6 +565,16 @@ def trained(tmp_path_factory):
     (root / "categorical-target.json").write_text(json.dumps(CATEGORICAL_TARGET), encoding="utf-8")
     (root / "sales-in-test-row-only.csv").write_text(f"{CSV_HEADER}\n{SALES_IN_TEST_ROW_ONLY}", encoding="utf-8")
     return data, model
+
+
+def test_model_file_writers_write_the_keys_their_readers_declare(trained):
+    """A `train` bundle holds exactly the ensemble's and the bundle's keys,
+    a bare ensemble the ensemble's, and an encoder state the state's."""
+    _, model = trained
+    bundle = json.loads(model.read_text(encoding="utf-8"))
+    assert bundle.keys() == boosted_trees._ENSEMBLE.keys() | boosted_trees._BUNDLE.keys()
+    assert boosted_trees.to_json(boosted_trees.from_json(bundle)).keys() == boosted_trees._ENSEMBLE.keys()
+    assert state_to_json(state_from_json(bundle["pipeline"])).keys() == feature_pipeline._STATE.keys()
 
 
 def _no_catalog(spec=None):

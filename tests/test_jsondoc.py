@@ -132,7 +132,15 @@ CONFIGS = {
 }
 # Each field of each, from the declaration check_fields reads, so a field added later is covered.
 FIELDS = [(cls, name, hint) for cls in CONFIGS for name, hint in jsondoc._declaration(cls)[0].items()]
-NUMBER_FIELDS = [(cls, name) for cls, name, hint in FIELDS if {int, float} & {hint, *typing.get_args(hint)}]
+
+
+def _parts(hint) -> set:
+    """``hint`` and its type arguments, an ``Annotated`` one read as its base type too."""
+    parts = {hint, *typing.get_args(hint)}
+    return parts | {typing.get_args(p)[0] for p in parts if typing.get_origin(p) is typing.Annotated}
+
+
+NUMBER_FIELDS = [(cls, name) for cls, name, hint in FIELDS if {int, float} & _parts(hint)]
 
 
 def _field_id(value):
@@ -155,3 +163,65 @@ def test_every_config_field_is_type_checked(cls, name):
     with the field's name."""
     with pytest.raises(InvalidConfig, match=f"^{name} must be "):
         cls(**{**CONFIGS[cls], name: object()})
+
+
+def _bounds(cls, name, hint) -> list:
+    """(bound, base type, field value holding a number, error location) for
+    each ``Bound`` declared on a field, on the field itself or on its dict's
+    values (keyed as in the field's default, since keys may be checked too)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Annotated:
+        return [(bound, args[0], lambda v: v, name) for bound in hint.__metadata__]
+    if origin is dict:
+        key = next(iter(getattr(cls(**CONFIGS[cls]), name)))
+        return [(bound, base, lambda v: {key: v}, f"{name}.{key}") for bound, base, _, _ in _bounds(cls, name, args[1])]
+    return []
+
+
+# Each bound declared across the config classes, and each of its ends, so a bound added later is covered.
+BOUNDS = [(cls, name, *entry) for cls, name, hint in FIELDS for entry in _bounds(cls, name, hint)]
+BOUND_ENDS = [
+    pytest.param(cls, name, bound, base, wrap, where, end, id=f"{cls.__name__}-{where}-{end}")
+    for cls, name, bound, base, wrap, where in BOUNDS for end in ("lo", "hi") if getattr(bound, end) is not None
+]
+
+
+def _every_bound(hint) -> list:
+    """Each ``Bound`` anywhere in ``hint``, however deep."""
+    return [b for a in typing.get_args(hint) for b in ([a] if isinstance(a, jsondoc.Bound) else _every_bound(a))]
+
+
+def test_bound_walk_misses_no_bound():
+    """``_bounds`` finds every bound the declarations hold, nested ones too."""
+    assert len(BOUNDS) == sum(len(_every_bound(hint)) for *_, hint in FIELDS) > 0
+
+
+@pytest.mark.parametrize("cls, name, bound, base, wrap, where, end", BOUND_ENDS)
+def test_every_bound_holds_at_both_ends(cls, name, bound, base, wrap, where, end):
+    """A closed end admits its limit and an open one the nearest value
+    inside; the nearest value outside (the limit itself at an open end)
+    fails with the field's location and its bound."""
+    limit, is_open, outward = getattr(bound, end), getattr(bound, f"open_{end}"), -1 if end == "lo" else 1
+
+    def beside(value, direction):
+        return value + direction if base is int else math.nextafter(float(value), direction * math.inf)
+
+    inside = beside(limit, -outward) if is_open else base(limit)
+    outside = base(limit) if is_open else beside(limit, outward)
+    assert getattr(cls(**{**CONFIGS[cls], name: wrap(inside)}), name) == wrap(inside)
+    with pytest.raises(InvalidConfig) as caught:
+        cls(**{**CONFIGS[cls], name: wrap(outside)})
+    assert str(caught.value) == f"{where} must be {bound}, got {outside!r}"
+
+
+@pytest.mark.parametrize("name, doc", [
+    ("synthetic", {"n_products": 20}),
+    ("bins", {"edges": [0, 1]}),
+    ("models", ({"name": "x", "kind": "ols"},)),
+    ("lexicon", {"base_colors": ["red"]}),
+])
+def test_code_built_config_takes_instances_where_dataclasses_are_declared(name, doc):
+    """JSON decodes an object into the dataclass declared for it; a config
+    built in code must pass the instance, not the object."""
+    with pytest.raises(InvalidConfig, match=rf"^{name}(\[0\])? must be a [A-Z]\w+, got "):
+        ExperimentConfig(**{**CONFIGS[ExperimentConfig], name: doc})
