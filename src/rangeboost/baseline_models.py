@@ -14,9 +14,12 @@ from typing import Annotated
 
 import numpy as np
 
-from .boosted_trees import FORMAT_VERSION, Ensemble, TrainConfig, check_fit_inputs, check_predict_inputs, train
+from .boosted_trees import (FORMAT_VERSION, Ensemble, LearningRate, MaxDepth, NTrees, TrainConfig,
+                            check_fit_inputs, check_predict_inputs, train)
 from .errors import InvalidConfig, NonFiniteInput
-from .jsondoc import Bound, check_fields
+from .jsondoc import Bound, check_fields, check_value
+
+Alpha = Annotated[float, Bound(0, open_lo=True)]  # the Bayesian ridge prior's precision, fit and roster alike
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,7 @@ def fit_ols(matrix, targets) -> LinearModel:
 def _ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     """Posterior-mean weights (X'X + alpha I)^-1 X'y of the Gaussian linear
     model with an isotropic prior of precision alpha."""
-    if not alpha > 0:
-        raise InvalidConfig(f"prior precision must be positive, got {alpha}")
+    check_value(alpha, Alpha, InvalidConfig, "alpha")
     gram = X.T @ X + alpha * np.eye(X.shape[1])
     moment = X.T @ y
     if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
@@ -63,14 +65,13 @@ def fit_bayes_ridge(matrix, targets, alpha: float = 1.0) -> LinearModel:
 
 @dataclass(frozen=True)
 class GbdtBaselineConfig:
-    n_trees: int = 200
-    learning_rate: float = 0.1
-    max_depth: int = 6
+    n_trees: NTrees = 200
+    learning_rate: LearningRate = 0.1
+    max_depth: MaxDepth = 6
     min_samples_leaf: Annotated[int, Bound(1)] = 1
 
     def __post_init__(self):
         check_fields(self, InvalidConfig)
-        self.train_config()  # checks n_trees, learning_rate and max_depth
 
     def train_config(self) -> TrainConfig:
         """The core learner's config this baseline runs (see fit_gbdt_first_order)."""

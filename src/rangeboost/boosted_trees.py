@@ -14,7 +14,7 @@ collecting gradient sum G and hessian sum H the optimal weight is
 
 The learner is specialised to that 1/2-scaled squared loss: the hessian is
 exactly 1 per row, so the second-order expansion is exact and the objective
-decreases monotonically round over round for any shrinkage in (0, 1].
+decreases monotonically round over round for any shrinkage above 0 and at most 1.
 H over a set of rows is therefore its row count, an exact integer in float64.
 
 Split search is exact greedy over per-node histograms.  ``train`` codes each
@@ -48,7 +48,14 @@ from .errors import (
     MalformedModel,
     NonFiniteInput,
 )
-from .jsondoc import Bound, check_doc, check_fields, from_doc, read_json, to_doc
+from .jsondoc import Bound, check_doc, check_fields, check_value, from_doc, read_json, to_doc
+from .range_binning import TargetMode
+
+# Each bound declared once, for every config and reader of the field; Jobs is n_jobs's and --jobs's.
+NTrees = Annotated[int, Bound(0)]
+LearningRate = Annotated[float, Bound(0, 1, open_lo=True)]
+MaxDepth = Annotated[int, Bound(1)]
+Jobs = Annotated[int, Bound(1)]
 
 
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
@@ -66,11 +73,11 @@ class TrainConfig:
     ``base_score=None`` means "use the training-target mean".
     """
 
-    n_trees: Annotated[int, Bound(0)] = 200
-    learning_rate: Annotated[float, Bound(0, 1, open_lo=True)] = 0.1
+    n_trees: NTrees = 200
+    learning_rate: LearningRate = 0.1
     reg_lambda: Annotated[float, Bound(0)] = 1.0
     gamma: Annotated[float, Bound(0)] = 0.0
-    max_depth: Annotated[int, Bound(1)] = 6
+    max_depth: MaxDepth = 6
     min_child_weight: Annotated[float, Bound(0)] = 1.0
     base_score: float | None = None
 
@@ -402,18 +409,19 @@ def train(
     targets: np.ndarray,
     config: TrainConfig | None = None,
     feature_names: Sequence[str] | None = None,
-    n_jobs: int = 1,
+    n_jobs: Jobs = 1,
 ) -> Ensemble:
     """Boost n_trees rounds of second-order tree fitting.
 
     Each round recomputes per-row gradients against the current predictions,
     grows one tree, and adds its (already shrunken) outputs to the
     prediction buffer.  Every column is rank-coded once, up front, for all
-    rounds.  Deterministic for a fixed config.  ``n_jobs`` is accepted for
-    compatibility only: training runs on one thread, and neither its result
-    nor its speed depends on ``n_jobs``.
+    rounds.  Deterministic for a fixed config.  ``n_jobs`` (at least 1)
+    is accepted for compatibility only: training runs on one thread, and
+    neither its result nor its speed depends on ``n_jobs``.
     """
     config = config or TrainConfig()
+    check_value(n_jobs, Jobs, InvalidConfig, "n_jobs")
     matrix, targets = check_fit_inputs(matrix, targets)
     names = tuple(feature_names) if feature_names is not None else tuple(
         f"f{i}" for i in range(matrix.shape[1])
@@ -485,7 +493,7 @@ _TREE = {"root": Literal[0], "nodes": tuple[dict, ...]}
 _ENSEMBLE = {"format_version": Literal[FORMAT_VERSION], "kind": Literal["ensemble"],
              "base_score": float, "learning_rate": float, "feature_layout": tuple[str, ...],
              "trees": list}
-_BUNDLE = {"pipeline": dict, "schema": list, "target_mode": str, "bins": dict | None}
+_BUNDLE = {"pipeline": dict, "schema": list, "target_mode": TargetMode, "bins": dict | None}
 
 
 def to_json(ensemble: Ensemble) -> dict:
@@ -544,7 +552,8 @@ def from_json(doc) -> Ensemble:
     monotone, so that sum bounds every running sum ``Ensemble.predict`` forms."""
     doc = check_doc(doc, {**_ENSEMBLE, **_BUNDLE}, MalformedModel, "model", required=_ENSEMBLE.keys())
     base, rate, layout = float(doc["base_score"]), float(doc["learning_rate"]), doc["feature_layout"]
-    _require(0.0 < rate <= 1.0, "model.learning_rate", f"must be in (0, 1], got {rate}")
+    (rates,) = LearningRate.__metadata__
+    _require(rates.admits(rate), "model.learning_rate", f"must be {rates}, got {rate}")
     trees, bound = [], abs(base)
     for k, tree_doc in enumerate(doc["trees"]):
         tree, largest = _check_tree(tree_doc, len(layout), f"model.trees[{k}]")

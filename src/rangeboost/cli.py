@@ -28,7 +28,7 @@ from .eval_harness import (
     synthetic_spec_from_json,
 )
 from .feature_pipeline import fit_pipeline, state_from_json, state_to_json, transform
-from .jsondoc import read_json
+from .jsondoc import check_value, read_json
 from .range_binning import RAW_SALES, apply_binning, bins_from_json, bins_to_json, default_bins, target_bins
 
 # Rows `predict` parses, encodes and scores at a time: its memory peak is
@@ -150,7 +150,7 @@ def _cmd_bins(args) -> int:
 
 
 JOBS_HELP = (
-    "accepted for compatibility; training is single-threaded, "
+    "at least 1; accepted for compatibility: training is single-threaded, "
     "and neither results nor speed depend on it"
 )
 
@@ -198,6 +198,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_value(getattr(args, "jobs", 1), boosted_trees.Jobs, InvalidConfig, "--jobs")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,11 +13,12 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Annotated, Literal, Sequence, get_type_hints
+from typing import Annotated, Literal, Sequence
 
 import numpy as np
 
 from .baseline_models import (
+    Alpha,
     GbdtBaselineConfig,
     SvrConfig,
     fit_bayes_ridge,
@@ -25,12 +26,12 @@ from .baseline_models import (
     fit_linear_svr,
     fit_ols,
 )
-from .boosted_trees import TrainConfig, real_array, train
+from .boosted_trees import Jobs, TrainConfig, real_array, train
 from .data_model import DataTable, default_schema, load_csv, load_schema, split_train_test
 from .errors import EmptyData, InvalidConfig, LengthMismatch
 from .feature_pipeline import ColorLexicon, fit_pipeline, plan_from_json, transform
-from .jsondoc import Bound, check_doc, check_fields, from_doc
-from .range_binning import BINNED_RANGE, RAW_SALES, BinSpec, apply_binning, target_bins
+from .jsondoc import Bound, _declaration, check_doc, check_fields, check_value, from_doc
+from .range_binning import BINNED_RANGE, BinSpec, TargetMode, apply_binning, target_bins
 
 
 def _as_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +237,7 @@ _MODELS = {
     "boosted_trees": (TrainConfig, lambda x, y, c, layout: train(x, y, c, feature_names=layout)),
     "gbdt": (GbdtBaselineConfig, lambda x, y, c, layout: fit_gbdt_first_order(x, y, c)),
     "ols": ({}, lambda x, y, c, layout: fit_ols(x, y, **c)),
-    "bayes_ridge": ({"alpha": Annotated[float, Bound(0, open_lo=True)]},
-                    lambda x, y, c, layout: fit_bayes_ridge(x, y, **c)),
+    "bayes_ridge": ({"alpha": Alpha}, lambda x, y, c, layout: fit_bayes_ridge(x, y, **c)),
     "linear_svr": (SvrConfig, lambda x, y, c, layout: fit_linear_svr(x, y, c)),
 }
 MODEL_KINDS = tuple(_MODELS)
@@ -281,7 +281,7 @@ class ExperimentConfig:
     data_csv: str | None = None
     schema_path: str | None = None
     synthetic: SyntheticSpec | None = None
-    target_mode: str = BINNED_RANGE
+    target_mode: TargetMode = BINNED_RANGE
     bins: BinSpec | None = None
     train_fraction: Annotated[float, Bound(0, 1, open_lo=True, open_hi=True)] = 0.8
     seed: Annotated[int, Bound(0)] = 7
@@ -309,15 +309,16 @@ def _fit_and_predict(model: ModelSpec, x_train, y_train, x_test, layout):
     return fit(x_train, y_train, model.settings, layout).predict(x_test)
 
 
-def run_experiment(config: ExperimentConfig, n_jobs: int = 1) -> list[MetricsRow]:
+def run_experiment(config: ExperimentConfig, n_jobs: Jobs = 1) -> list[MetricsRow]:
     """Load or generate data, split, fit the pipeline on the train side,
     fit every roster model, and score the held-out side.
 
     One model failing is recorded in its row; the rest of the roster still
-    runs.  Report row order follows the roster order.  ``n_jobs`` is
-    accepted for compatibility only; neither the report nor the run time
-    depends on it.
+    runs.  Report row order follows the roster order.  ``n_jobs`` (at
+    least 1) is accepted for compatibility only; neither the report nor the
+    run time depends on it.
     """
+    check_value(n_jobs, Jobs, InvalidConfig, "n_jobs")
     if config.synthetic is not None:
         table = generate_synthetic(config.synthetic)
     else:
@@ -410,7 +411,7 @@ def parse_document(doc, fields: dict, what: str) -> dict:
     ``target_mode`` (defaulted), ``bins`` (by ``target_bins``: None exactly
     under raw_sales) and ``pipeline`` (replaced by ``plan`` and ``lexicon``,
     None when absent)."""
-    shared = {"target_mode": Literal[RAW_SALES, BINNED_RANGE], "bins": BinSpec, "pipeline": dict}
+    shared = {"target_mode": _EXPERIMENT["target_mode"], "bins": BinSpec, "pipeline": dict}
     doc = check_doc(doc, {**shared, **fields}, InvalidConfig, what)
     doc.setdefault("target_mode", BINNED_RANGE)
     doc["bins"] = target_bins(doc["target_mode"], doc.get("bins"), what)
@@ -422,25 +423,22 @@ def parse_document(doc, fields: dict, what: str) -> dict:
     return doc
 
 
-# JSON types of the experiment's own keys (the ones it shares with
-# ExperimentConfig as declared there, bounds included), of its dataset and of
-# a roster entry
+# JSON types of the experiment's keys, of its dataset and of a roster entry.
+# A key an experiment (or, for target_mode, a train config) shares with
+# ExperimentConfig, and each key of an entry, has the type its dataclass declares.
+_EXPERIMENT = _declaration(ExperimentConfig)[0]
 _EXPERIMENT_FIELDS = {"dataset": dict, "models": list, **{
-    key: hint for key, hint in get_type_hints(ExperimentConfig, include_extras=True).items()
-    if key in ("train_fraction", "seed", "round_predictions", "output")}}
+    key: _EXPERIMENT[key] for key in ("train_fraction", "seed", "round_predictions", "output")}}
 _DATASET_FIELDS = {"csv": str, "schema": str, "synthetic": SyntheticSpec}
-_ENTRY_FIELDS = {"name": str, "kind": Literal[MODEL_KINDS], "config": dict}
+_ENTRY_FIELDS = _declaration(ModelSpec)[0]
 
 
 def experiment_from_json(doc) -> ExperimentConfig:
     doc = parse_document(doc, _EXPERIMENT_FIELDS, "experiment")
     dataset = check_doc(doc.pop("dataset", {}), _DATASET_FIELDS, InvalidConfig, "dataset")
     if "models" in doc:
-        entries = [check_doc(e, _ENTRY_FIELDS, InvalidConfig, "model entry") for e in doc["models"]]
-        doc["models"] = tuple(
-            ModelSpec(e.get("name", e.get("kind", "?")), e.get("kind", ""), e.get("config", {}))
-            for e in entries
-        )
+        entries = [check_doc(e, _ENTRY_FIELDS, InvalidConfig, "model entry", {"kind"}) for e in doc["models"]]
+        doc["models"] = tuple(ModelSpec(**{"name": e["kind"], **e}) for e in entries)  # named by kind by default
     return ExperimentConfig(data_csv=dataset.get("csv"), schema_path=dataset.get("schema"),
                             synthetic=dataset.get("synthetic"), **doc)
 

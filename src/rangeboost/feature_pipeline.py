@@ -27,7 +27,7 @@ from .data_model import (
     schema_from_json,
 )
 from .errors import EmptyTrain, InvalidConfig, NonFiniteInput, SchemaMismatch
-from .jsondoc import check_doc, check_fields, check_value, from_doc, to_doc
+from .jsondoc import _declaration, check_doc, check_fields, check_value, from_doc, to_doc
 
 UNKNOWN_TOKEN = "unknown"
 COMPOSITE_TOKEN = "composite"
@@ -185,8 +185,8 @@ class EncoderState:
     schema: tuple[ColumnSchema, ...]
     plan: dict
     lexicon: ColorLexicon
-    vocabularies: dict
-    group_means: dict
+    vocabularies: dict[str, tuple[str, ...]]
+    group_means: dict[str, tuple[dict, ...]]
     layout: tuple[str, ...]
 
 
@@ -366,11 +366,9 @@ def state_to_json(state: EncoderState) -> dict:
     return {**to_doc(state), "plan": plan_to_json(state.plan), "group_means": group_means}
 
 
-# JSON types of an encoder state document (every key required) and of one
-# group-mean tier: [[group key values], mean] pairs.
-_STATE = {"schema": list, "plan": dict, "lexicon": ColorLexicon,
-          "vocabularies": dict[str, tuple[str, ...]], "group_means": dict[str, tuple[dict, ...]],
-          "layout": tuple[str, ...]}
+# JSON types of an encoder state document, EncoderState's fields (every key
+# required), and of one group-mean tier: [[group key values], mean] pairs.
+_STATE = _declaration(EncoderState)[0]
 _TIER = {"means": tuple[tuple[tuple[str, ...], float], ...]}
 
 
@@ -404,14 +402,6 @@ def state_from_json(doc) -> EncoderState:
         if not fits:  # one tier per tier of the plan, each keyed by that tier's columns
             raise InvalidConfig(f"group means of {name!r} do not fit the tiers {tiers[name]} of its plan")
         group_means[name] = tuple({key: float(mean) for key, mean in tier} for tier in pairs)
-    layout = _layout(schema, vocabularies)
-    if doc["layout"] != layout:
+    if doc["layout"] != _layout(schema, vocabularies):
         raise InvalidConfig("encoder state layout differs from the one its schema and vocabularies give")
-    return EncoderState(
-        schema=schema,
-        plan=plan,
-        lexicon=doc["lexicon"],
-        vocabularies=vocabularies,
-        group_means=group_means,
-        layout=layout,
-    )
+    return EncoderState(**{**doc, "schema": schema, "plan": plan, "group_means": group_means})

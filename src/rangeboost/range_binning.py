@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Literal, Sequence
 
 from .errors import InvalidConfig, NegativeValue, NonFiniteInput
 from .jsondoc import check_fields, from_doc, to_doc
@@ -15,6 +15,7 @@ DEFAULT_EDGES = (0.0, 50.0, 100.0, 300.0, 500.0, 1000.0, 3000.0, 5000.0, 10000.0
 # The two target modes: sales volumes as they are, or their range's index.
 RAW_SALES = "raw_sales"
 BINNED_RANGE = "binned_range"
+TargetMode = Literal[RAW_SALES, BINNED_RANGE]
 
 
 def _format_edge(e: float) -> str:

@@ -627,6 +627,35 @@ def test_unwritable_output_exits_2(command, trained, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"config error: cannot write {out}: ")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_jobs_below_one_exits_2(command, jobs, trained, tmp_path, capsys):
+    """--jobs is checked against its bound before the command reads or writes anything."""
+    data, _ = trained
+    experiment = tmp_path / "exp.json"
+    experiment.write_text(json.dumps(TINY_EXPERIMENT), encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = {
+        "train": ["train", "--data", data, "--model-out", out, "--jobs", jobs],
+        "compare": ["compare", "--experiment", experiment, "--out", out, "--jobs", jobs],
+    }[command]
+    assert main([str(part) for part in argv]) == 2
+    assert capsys.readouterr().err == f"config error: --jobs must be >= 1, got {jobs}\n"
+    assert not out.exists()
+
+
+def test_model_target_mode_error_names_its_location(trained, tmp_path, capsys):
+    """A model's target_mode is one of the declared target modes, and an error names its location."""
+    data, model = trained
+    document = json.loads(model.read_text(encoding="utf-8"))
+    document["target_mode"] = "banana"
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(document), encoding="utf-8")
+    assert _predict(bad, data, tmp_path / "preds.csv") == 4
+    expected = "model error: model.target_mode must be one of ['raw_sales', 'binned_range'], got 'banana'\n"
+    assert capsys.readouterr().err == expected
+
+
 def _predict(model, data, out) -> int:
     return main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)])
 

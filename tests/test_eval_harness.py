@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rangeboost.eval_harness as harness
+from rangeboost import baseline_models, boosted_trees, jsondoc
 from rangeboost.baseline_models import GbdtBaselineConfig, SvrConfig, fit_bayes_ridge
 from rangeboost.boosted_trees import TrainConfig
 from rangeboost.data_model import default_schema, load_csv, write_csv
@@ -342,6 +343,38 @@ def test_experiment_from_json_rejects_roster_config_typo():
     }
     with pytest.raises(InvalidConfig, match="alpah"):
         experiment_from_json(doc)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"kind": "gbdt", "config": {"n_trees": -1}}, "gbdt config.n_trees must be >= 0, got -1"),
+    ({"kind": "gbdt", "config": {"learning_rate": 0}}, "gbdt config.learning_rate must be in (0, 1], got 0"),
+    ({"kind": "gbdt", "config": {"max_depth": 0}}, "gbdt config.max_depth must be >= 1, got 0"),
+    ({"name": "x"}, "model entry needs ['kind']"),
+    ({"name": "x", "kind": ""}, "model entry.kind must be one of "
+                                "['boosted_trees', 'gbdt', 'ols', 'bayes_ridge', 'linear_svr'], got ''"),
+], ids=["gbdt-n-trees", "gbdt-learning-rate", "gbdt-max-depth", "kind-missing", "kind-empty"])
+def test_roster_errors_name_their_location(entry, message):
+    with pytest.raises(InvalidConfig) as caught:
+        experiment_from_json({"dataset": {"synthetic": {}}, "models": [entry]})
+    assert str(caught.value) == message
+
+
+def test_each_learner_bound_is_declared_once():
+    """The GBDT baseline's fields are the core learner's, bounds included,
+    and the Bayes fit and the roster read one declaration of alpha."""
+    train, gbdt = (jsondoc._declaration(cls)[0] for cls in (TrainConfig, GbdtBaselineConfig))
+    assert all(gbdt[name] is train[name] for name in ("n_trees", "learning_rate", "max_depth"))
+    assert harness._MODELS["bayes_ridge"][0]["alpha"] is baseline_models.Alpha
+    with pytest.raises(InvalidConfig, match=r"^alpha must be > 0, got 0$"):
+        fit_bayes_ridge(np.eye(2), np.ones(2), alpha=0)
+
+
+@pytest.mark.parametrize("jobs", [0, -5, 1.5, True])
+def test_n_jobs_is_at_least_one(jobs):
+    with pytest.raises(InvalidConfig, match=r"^n_jobs must be "):
+        boosted_trees.train(np.eye(2), np.ones(2), n_jobs=jobs)
+    with pytest.raises(InvalidConfig, match=r"^n_jobs must be "):
+        run_experiment(ExperimentConfig(synthetic=SyntheticSpec()), n_jobs=jobs)
 
 
 def test_default_models_order():
