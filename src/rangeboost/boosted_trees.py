@@ -194,15 +194,20 @@ class _Histogram(NamedTuple):
 def _rank_codes(matrix: np.ndarray) -> _Bins:
     """Code each cell by the rank of its value among its column's distinct
     values, offset so that each column owns a contiguous range of bins.
-    Constant columns, and columns identical to an earlier one, get no bins:
-    a copy's gains tie the first copy's to the bit, and the first maximum
-    wins."""
-    kept, seen = [], set()
+    Constant columns, and columns with the bytes of an earlier one, get no
+    bins: a copy's gains tie the first copy's to the bit, and the first
+    maximum wins.  A copy is found by a hash of its bytes and confirmed by
+    comparing them, so no column's bytes are kept."""
+    kept, by_hash = [], {}
     for j in range(matrix.shape[1]):
-        key = matrix[:, j].tobytes()
-        if key not in seen and matrix[:, j].min() < matrix[:, j].max():
+        column = matrix[:, j]
+        if not column.min() < column.max():  # a copy of a constant column is constant
+            continue
+        key = column.tobytes()
+        earlier = by_hash.setdefault(hash(key), [])
+        if not any(matrix[:, i].tobytes() == key for i in earlier):
+            earlier.append(j)
             kept.append(j)
-        seen.add(key)
     codes = np.empty((matrix.shape[0], len(kept)), dtype=np.intp)
     values, start = [], 0
     for i, j in enumerate(kept):
@@ -226,12 +231,31 @@ def _rank_codes(matrix: np.ndarray) -> _Bins:
     )
 
 
+# Cells of ``codes[rows]`` that one histogram gathers at a time.  A node of
+# more rows times kept columns is counted one block of columns at a time.
+_HISTOGRAM_CELLS = 1 << 17
+
+
 def _histogram(bins: _Bins, rows: np.ndarray, grad: np.ndarray) -> _Histogram:
     """G and H of ``rows`` per bin; each bin folds its rows in the order of
-    ``rows``, ascending in the grower."""
-    codes, size = bins.codes[rows].ravel(), bins.values.size
-    g = np.bincount(codes, weights=grad[rows].repeat(bins.codes.shape[1]), minlength=size)
-    return _Histogram(bins, g, np.bincount(codes, minlength=size))
+    ``rows``, ascending in the grower.  Each bin belongs to one column, so
+    counting a block of columns at a time folds every bin in that order too,
+    and every G and H keeps its bits."""
+    size, width = bins.values.size, bins.codes.shape[1]
+    step = max(1, _HISTOGRAM_CELLS // max(1, rows.shape[0]))  # columns per block
+    if step >= width:
+        codes = bins.codes[rows].ravel()
+        g = np.bincount(codes, weights=grad[rows].repeat(width), minlength=size)
+        return _Histogram(bins, g, np.bincount(codes, minlength=size))
+    g, h, weights = np.empty(size), np.empty(size, dtype=np.intp), grad[rows]
+    for lo in range(0, width, step):
+        block = bins.codes[rows, lo : lo + step]
+        first, end = bins.column.searchsorted((lo, lo + step))
+        block -= first  # the block's own bins, from 0
+        codes = block.ravel()
+        g[first:end] = np.bincount(codes, weights=weights.repeat(block.shape[1]), minlength=end - first)
+        h[first:end] = np.bincount(codes, minlength=end - first)
+    return _Histogram(bins, g, h)
 
 
 def find_best_split(

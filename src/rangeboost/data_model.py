@@ -144,6 +144,27 @@ def parse_categorical(text: str) -> str | None:
     return s
 
 
+# Distinct texts a column's parse memo holds before it starts over: a
+# catalog repeats most of its cell texts, and the bound keeps a column of
+# unique texts from growing the memo with the file.
+MEMO_TEXTS = 4096
+
+
+class _ParseMemo(dict):
+    """One column's cell text -> parsed value, so each distinct text is
+    parsed once and its repeats share one value.  Cleared when full."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text):
+        if len(self) >= MEMO_TEXTS:
+            self.clear()
+        value = self[text] = self.parse(text)
+        return value
+
+
 def read_rows(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = False) -> Iterator[tuple]:
     """Yield the rows of a UTF-8, comma-delimited CSV as tuples of cells in
     ``schema`` order, one at a time.
@@ -154,6 +175,8 @@ def read_rows(path, schema: Sequence[ColumnSchema], allow_missing_target: bool =
     absent from the file (all its cells load as missing), which is what
     prediction-time inputs look like.  The file is opened and its header
     checked at the first ``next``; a bad row raises when it is reached.
+    Each column parses a distinct text once, through a memo of at most
+    ``MEMO_TEXTS`` texts, so the rows are those of parsing every cell.
     """
     schema = _check_schema(schema)
     try:
@@ -166,16 +189,16 @@ def read_rows(path, schema: Sequence[ColumnSchema], allow_missing_target: bool =
             header = next(reader, None)
             if header is None:
                 raise MissingColumn(f"{path}: file has no header row")
-            # One (field position, parser) pair per schema column, in schema order.
+            # One (field position, parse memo) pair per schema column, in schema order.
             parsers = []
             for col in schema:
                 if header.count(col.name) > 1:
                     raise DataError(f"{path}: column {col.name!r} appears more than once in the header")
                 if col.name in header:
                     parse = parse_numeric if col.kind == NUMERIC else parse_categorical
-                    parsers.append((header.index(col.name), parse))
+                    parsers.append((header.index(col.name), _ParseMemo(parse)))
                 elif col.role == TARGET and allow_missing_target:
-                    parsers.append((0, lambda text: None))  # every row read has a field 0
+                    parsers.append((0, _ParseMemo(lambda text: None)))  # every row read has a field 0
                 else:
                     raise MissingColumn(f"{path}: column {col.name!r} not in header")
             for fields in reader:
@@ -185,7 +208,7 @@ def read_rows(path, schema: Sequence[ColumnSchema], allow_missing_target: bool =
                     raise RowArity(
                         f"line {reader.line_num}: expected {len(header)} fields, got {len(fields)}"
                     )
-                yield tuple([parse(fields[pos]) for pos, parse in parsers])
+                yield tuple([memo[fields[pos]] for pos, memo in parsers])
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"{path}: {exc}") from exc
 

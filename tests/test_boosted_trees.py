@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from oracles import enumerate_best_split, golden_section_minimize, leaf_objectiv
 from spoiled_matrices import SPOILED_MATRICES
 from rangeboost import boosted_trees
 from rangeboost.baseline_models import GbdtBaselineConfig, fit_gbdt_first_order
+from rangeboost.data_model import DataTable
+from rangeboost.eval_harness import SyntheticSpec, generate_synthetic
+from rangeboost.feature_pipeline import fit_pipeline, transform
 from rangeboost.boosted_trees import (
     Branch,
     Ensemble,
@@ -411,6 +415,113 @@ def test_rank_codes_merge_signed_zeros_and_keep_close_or_huge_values_apart():
     config = TrainConfig(reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
     signed_zeros = np.array([[-0.0], [0.0]])
     assert find_best_split(np.arange(2), signed_zeros, np.array([-1.0, 1.0]), config) is None
+
+
+def _awkward_catalog(n=240, seed=53):
+    """A matrix that takes every dedupe rule and the finest thresholds, and
+    targets that split on most of it: a continuous column and its copy, a
+    one-hot block and its copy, a constant and its copy, a 0/1 column and
+    the same column with -0.0 for 0.0, and a column of two neighbouring
+    floats."""
+    rng = np.random.default_rng(seed)
+    continuous = rng.normal(size=n)
+    one_hot = np.eye(4)[rng.integers(0, 4, size=n)]
+    flag = rng.integers(0, 2, size=n).astype(np.float64)
+    signed = np.where(flag == 0.0, -0.0, flag)
+    above_one = float(np.nextafter(1.0, 2.0))
+    neighbours = np.where(rng.integers(0, 2, size=n) == 1, above_one, 1.0)
+    constant = np.full((n, 1), 2.5)
+    matrix = np.column_stack(
+        [continuous, one_hot, constant, flag, continuous, signed, neighbours, one_hot, constant]
+    )
+    targets = continuous + one_hot @ [0.0, 3.0, -1.0, 2.0] + 2.0 * flag + 4.0 * (neighbours > 1.0)
+    return matrix, targets + rng.normal(size=n) * 0.1
+
+
+def _bins_fields(bins):
+    return [bins.codes, bins.values.view(np.int64), bins.feature, bins.column, bins.last]
+
+
+def test_histogram_cell_budget_changes_no_model_byte(monkeypatch):
+    """One-column blocks on every node, and one call on every node, give the
+    same model text."""
+    matrix, targets = _awkward_catalog()
+    for config in (TrainConfig(n_trees=8, max_depth=4), TrainConfig(n_trees=4, reg_lambda=0.0, min_child_weight=0.0)):
+        texts = []
+        for cells in (1, 2**62):
+            monkeypatch.setattr(boosted_trees, "_HISTOGRAM_CELLS", cells)
+            texts.append(json.dumps(to_json(train(matrix, targets, config))))
+        assert texts[0] == texts[1]
+        assert '"threshold"' in texts[0]
+
+
+def test_histogram_blocks_keep_every_bit(monkeypatch):
+    """Built and sibling-subtracted histograms hold the same G and H bits
+    whether the columns are counted one at a time, three at a time (a block
+    left over at the end) or all at once."""
+    matrix, _ = _awkward_catalog()
+    n = matrix.shape[0]
+    rng = np.random.default_rng(59)
+    bins = boosted_trees._rank_codes(matrix)
+    grad = rng.normal(size=n) * 1e3
+    rows, small = np.arange(n), np.sort(rng.choice(n, size=n // 3, replace=False))
+    assert bins.codes.shape[1] % 3 != 0
+
+    def histograms(cells):
+        monkeypatch.setattr(boosted_trees, "_HISTOGRAM_CELLS", cells)
+        parent, built = boosted_trees._histogram(bins, rows, grad), boosted_trees._histogram(bins, small, grad)
+        return [(parent.g, parent.h), (built.g, built.h), (parent.g - built.g, parent.h - built.h)]
+
+    whole = histograms(2**62)
+    for cells in (1, 3 * n):
+        for (g, h), (g_whole, h_whole) in zip(histograms(cells), whole):
+            assert np.array_equal(g.view(np.int64), g_whole.view(np.int64))
+            assert np.array_equal(h.view(np.int64), h_whole.view(np.int64))
+
+
+def test_rank_codes_dedupe_by_bytes():
+    """A column is dropped when it is constant or has the bytes of an earlier
+    one: -0.0 and 0.0 differ in bytes, so a column that differs only there is
+    kept, and a copy of a dropped constant column is dropped."""
+    x = np.array([0.0, 1.0, 0.0, 2.0])
+    matrix = np.column_stack(
+        [x, np.full(4, 5.0), np.where(x == 0.0, -0.0, x), x, np.full(4, 5.0), np.full(4, -0.0), np.zeros(4)]
+    )
+    bins = boosted_trees._rank_codes(matrix)
+    assert np.unique(bins.feature).tolist() == [0, 2]
+
+
+def test_rank_codes_compare_the_bytes_on_a_hash_match(monkeypatch):
+    """With every column hashed alike, the exact compare alone tells copies
+    apart, and the bins and the model are the same."""
+    matrix, targets = _awkward_catalog()
+    config = TrainConfig(n_trees=5, max_depth=4)
+    expected, text = _bins_fields(boosted_trees._rank_codes(matrix)), json.dumps(to_json(train(matrix, targets, config)))
+    hashed = []
+    monkeypatch.setattr(boosted_trees, "hash", lambda data: hashed.append(data) or 0, raising=False)
+    collided = _bins_fields(boosted_trees._rank_codes(matrix))
+    assert len(hashed) == 13  # every column but the two constants
+    assert all(np.array_equal(a, b) for a, b in zip(collided, expected))
+    assert json.dumps(to_json(train(matrix, targets, config))) == text
+
+
+def test_train_memory_on_a_unique_per_row_column_stays_within_three_matrices():
+    """A column that differs in every row (here Products) one-hot encodes to
+    a matrix about as wide as it is long.  What ``train`` allocates on top of
+    it peaks at most at 3 times its size: the Fortran copy, the rank codes,
+    and one block of columns of a histogram, with no copy of each column's
+    bytes kept for the dedupe."""
+    table = generate_synthetic(SyntheticSpec(n_products=2000, seed=3))
+    table = DataTable(table.schema, tuple((f"product {i}",) + row[1:] for i, row in enumerate(table.rows)))
+    matrix, targets = transform(table, fit_pipeline(table))
+    assert matrix.shape[1] > matrix.shape[0]
+    tracemalloc.start()
+    try:
+        train(matrix, targets, TrainConfig(n_trees=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * matrix.nbytes
 
 
 def test_grow_tree_leaves_no_reference_cycle():

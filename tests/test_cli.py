@@ -461,6 +461,7 @@ MALFORMED_INPUTS = {
     "model-target-mode-number": ("predict", "--model", lambda d: d.update(target_mode=42), 4),
     "model-bins-string": ("predict", "--model", lambda d: d.update(bins="x"), 4),
     "model-target-mode-unknown": ("predict", "--model", lambda d: d.update(target_mode="banana"), 4),
+    "model-target-mode-missing": ("predict", "--model", lambda d: d.pop("target_mode"), 4),
     "model-bins-edges-descending": ("predict", "--model", lambda d: d["bins"].update(edges=[5, 1]), 4),
     "model-bins-unknown-key": ("predict", "--model", lambda d: d["bins"].update(colour="red"), 4),
     "model-raw-sales-with-bins": ("predict", "--model", lambda d: d.update(target_mode="raw_sales"), 4),
@@ -654,6 +655,17 @@ def test_model_target_mode_error_names_its_location(trained, tmp_path, capsys):
     assert _predict(bad, data, tmp_path / "preds.csv") == 4
     expected = "model error: model.target_mode must be one of ['raw_sales', 'binned_range'], got 'banana'\n"
     assert capsys.readouterr().err == expected
+
+
+def test_model_without_target_mode_error_names_the_key(trained, tmp_path, capsys):
+    """A bundle whose pipeline is there but whose target_mode is not says so."""
+    data, model = trained
+    document = json.loads(model.read_text(encoding="utf-8"))
+    del document["target_mode"]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(document), encoding="utf-8")
+    assert _predict(bad, data, tmp_path / "preds.csv") == 4
+    assert capsys.readouterr().err.endswith(": model.target_mode is missing\n")
 
 
 def _predict(model, data, out) -> int:

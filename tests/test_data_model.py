@@ -1,11 +1,14 @@
+import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rangeboost.data_model import (
     CATEGORICAL,
+    MEMO_TEXTS,
     NUMERIC,
     TARGET,
     ColumnSchema,
@@ -13,6 +16,7 @@ from rangeboost.data_model import (
     default_schema,
     load_csv,
     load_schema,
+    parse_categorical,
     parse_numeric,
     read_rows,
     schema_from_json,
@@ -82,6 +86,47 @@ def test_read_rows_yields_each_row_before_reading_the_next(tmp_path):
     assert (next(rows), next(rows)) == clean.rows
     with pytest.raises(RowArity, match="line 4: expected 10 fields, got 2"):
         next(rows)
+
+
+def test_read_rows_parses_each_field_as_parsing_it_alone(tmp_path):
+    """The parse memo changes no cell: each is its own field's direct parse,
+    for repeated texts and their whitespace variants, currency, missing
+    tokens, NaN and inf, and -0.0, whose sign is kept.  Products and Number of
+    Rating hold more distinct texts than the memo, so it clears mid-file and
+    then sees texts it had before."""
+    numbers = ["19.99", " 19.99", "19.99 ", "$1,200", "NA", "n/a", "", "nan", "inf", "-0.0", "0.0", "$1,200"]
+    words = ["acme", " acme", "acme ", "Acme", "NA", "n/a", "", "nan", "-0.0"]
+    fields = [
+        [f"p{i % (MEMO_TEXTS + 7)}", words[i % 9], words[i % 7], words[i % 5],
+         numbers[i % 12], numbers[i % 11], str(i % (MEMO_TEXTS + 7)), numbers[i % 5], numbers[i % 7], numbers[i % 13 % 12]]
+        for i in range(2 * MEMO_TEXTS + 50)
+    ]
+    path = tmp_path / "repeats.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows([HEADER.split(","), *fields])
+    parsers = [parse_numeric if col.kind == NUMERIC else parse_categorical for col in default_schema()]
+    expected = [tuple(parse(text) for parse, text in zip(parsers, row)) for row in fields]
+    rows = list(read_rows(path, default_schema()))
+    assert [repr(row) for row in rows] == [repr(row) for row in expected]
+    assert math.copysign(1.0, rows[9][4]) == -1.0 and rows[9][4] == 0.0
+    assert len({id(row[4]) for row in rows if row[4] == 1200.0}) == 1  # repeats share one value
+
+
+def test_read_rows_memo_does_not_grow_with_the_file(tmp_path):
+    """Reading a file whose every text is new keeps one memo's worth per
+    column, however long the file: the memo clears when full."""
+
+    def peak(n_rows):
+        path = write_table(tmp_path, [HEADER] + [f"p{i},b{i},c{i},m{i},{i},{i},{i},{i},{i},{i}" for i in range(n_rows)])
+        tracemalloc.start()
+        try:
+            for _ in read_rows(path, default_schema()):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3 * MEMO_TEXTS) < 1.2 * peak(MEMO_TEXTS)
 
 
 def test_schema_column_named_twice_in_header_raises(tmp_path):
