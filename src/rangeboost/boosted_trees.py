@@ -243,15 +243,12 @@ def _histogram(bins: _Bins, rows: np.ndarray, grad: np.ndarray) -> _Histogram:
     and every G and H keeps its bits."""
     size, width = bins.values.size, bins.codes.shape[1]
     step = max(1, _HISTOGRAM_CELLS // max(1, rows.shape[0]))  # columns per block
-    if step >= width:
-        codes = bins.codes[rows].ravel()
-        g = np.bincount(codes, weights=grad[rows].repeat(width), minlength=size)
-        return _Histogram(bins, g, np.bincount(codes, minlength=size))
     g, h, weights = np.empty(size), np.empty(size, dtype=np.intp), grad[rows]
     for lo in range(0, width, step):
         block = bins.codes[rows, lo : lo + step]
         first, end = bins.column.searchsorted((lo, lo + step))
-        block -= first  # the block's own bins, from 0
+        if first:  # the block's own bins, from 0
+            block -= first
         codes = block.ravel()
         g[first:end] = np.bincount(codes, weights=weights.repeat(block.shape[1]), minlength=end - first)
         h[first:end] = np.bincount(codes, minlength=end - first)

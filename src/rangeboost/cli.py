@@ -99,8 +99,6 @@ def _cmd_predict(args) -> int:
     try:
         state = state_from_json(document.get("pipeline"))
         bins = None if bins is None else bins_from_json(bins)
-        if "target_mode" not in document:  # optional in a bare ensemble, needed here
-            raise InvalidConfig("model.target_mode is missing")
         if target_bins(document.get("target_mode"), bins, "model") != bins:  # the default filled no bins in
             raise InvalidConfig(f"bins must be null exactly under {RAW_SALES}")
     except ConfigError as exc:

@@ -144,25 +144,29 @@ def parse_categorical(text: str) -> str | None:
     return s
 
 
-# Distinct texts a column's parse memo holds before it starts over: a
-# catalog repeats most of its cell texts, and the bound keeps a column of
-# unique texts from growing the memo with the file.
+# Distinct texts a column's parse memo may hold.  A repeat costs about
+# half a parse and a new text about three, so a memo this full (a product
+# title, a price) is dropped and its column parses each cell again.
 MEMO_TEXTS = 4096
 
 
 class _ParseMemo(dict):
     """One column's cell text -> parsed value, so each distinct text is
-    parsed once and its repeats share one value.  Cleared when full."""
+    parsed once and its repeats share one value."""
 
     def __init__(self, parse):
         super().__init__()
         self.parse = parse
 
     def __missing__(self, text):
-        if len(self) >= MEMO_TEXTS:
-            self.clear()
         value = self[text] = self.parse(text)
         return value
+
+
+def _unless_full(parse):
+    """``parse``, or the bare parser of a memo that holds ``MEMO_TEXTS`` texts."""
+    memo = getattr(parse, "__self__", None)
+    return memo.parse if isinstance(memo, _ParseMemo) and len(memo) >= MEMO_TEXTS else parse
 
 
 def read_rows(path, schema: Sequence[ColumnSchema], allow_missing_target: bool = False) -> Iterator[tuple]:
@@ -175,8 +179,10 @@ def read_rows(path, schema: Sequence[ColumnSchema], allow_missing_target: bool =
     absent from the file (all its cells load as missing), which is what
     prediction-time inputs look like.  The file is opened and its header
     checked at the first ``next``; a bad row raises when it is reached.
-    Each column parses a distinct text once, through a memo of at most
-    ``MEMO_TEXTS`` texts, so the rows are those of parsing every cell.
+    Each column parses a distinct text once, through a memo, until the
+    memo holds ``MEMO_TEXTS`` texts; from the next multiple of
+    ``MEMO_TEXTS`` lines on, that column parses every cell.  The rows are
+    those of parsing every cell.
     """
     schema = _check_schema(schema)
     try:
@@ -189,26 +195,30 @@ def read_rows(path, schema: Sequence[ColumnSchema], allow_missing_target: bool =
             header = next(reader, None)
             if header is None:
                 raise MissingColumn(f"{path}: file has no header row")
-            # One (field position, parse memo) pair per schema column, in schema order.
+            # One (field position, parser) pair per schema column, in schema order.
             parsers = []
             for col in schema:
                 if header.count(col.name) > 1:
                     raise DataError(f"{path}: column {col.name!r} appears more than once in the header")
                 if col.name in header:
                     parse = parse_numeric if col.kind == NUMERIC else parse_categorical
-                    parsers.append((header.index(col.name), _ParseMemo(parse)))
+                    parsers.append((header.index(col.name), _ParseMemo(parse).__getitem__))
                 elif col.role == TARGET and allow_missing_target:
-                    parsers.append((0, _ParseMemo(lambda text: None)))  # every row read has a field 0
+                    parsers.append((0, lambda text: None))  # every row read has a field 0
                 else:
                     raise MissingColumn(f"{path}: column {col.name!r} not in header")
-            for fields in reader:
+            for count, fields in enumerate(reader):
+                # A memo kept at a check gains at most MEMO_TEXTS texts
+                # before the next, so none holds 2 * MEMO_TEXTS.
+                if count % MEMO_TEXTS == 0:
+                    parsers = [(pos, _unless_full(parse)) for pos, parse in parsers]
                 if not fields:  # a blank line
                     continue
                 if len(fields) != len(header):
                     raise RowArity(
                         f"line {reader.line_num}: expected {len(header)} fields, got {len(fields)}"
                     )
-                yield tuple([memo[fields[pos]] for pos, memo in parsers])
+                yield tuple([parse(fields[pos]) for pos, parse in parsers])
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"{path}: {exc}") from exc
 

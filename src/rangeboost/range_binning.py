@@ -65,6 +65,8 @@ def target_bins(target_mode, bins: BinSpec | None, what: str) -> BinSpec | None:
     None under raw_sales, which takes none.  ``what`` names the document in errors."""
     if target_mode == BINNED_RANGE:
         return bins or default_bins()
+    if target_mode is None:
+        raise InvalidConfig(f"unknown target mode None: {what}.target_mode is missing")
     if target_mode != RAW_SALES:
         raise InvalidConfig(f"unknown target mode {target_mode!r}")
     if bins is not None:

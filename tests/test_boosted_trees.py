@@ -443,8 +443,8 @@ def _bins_fields(bins):
 
 
 def test_histogram_cell_budget_changes_no_model_byte(monkeypatch):
-    """One-column blocks on every node, and one call on every node, give the
-    same model text."""
+    """One-column blocks on every node, and one block of every column on
+    every node, give the same model text."""
     matrix, targets = _awkward_catalog()
     for config in (TrainConfig(n_trees=8, max_depth=4), TrainConfig(n_trees=4, reg_lambda=0.0, min_child_weight=0.0)):
         texts = []

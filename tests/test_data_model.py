@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rangeboost import data_model
 from rangeboost.data_model import (
     CATEGORICAL,
     MEMO_TEXTS,
@@ -92,8 +93,8 @@ def test_read_rows_parses_each_field_as_parsing_it_alone(tmp_path):
     """The parse memo changes no cell: each is its own field's direct parse,
     for repeated texts and their whitespace variants, currency, missing
     tokens, NaN and inf, and -0.0, whose sign is kept.  Products and Number of
-    Rating hold more distinct texts than the memo, so it clears mid-file and
-    then sees texts it had before."""
+    Rating hold more distinct texts than the memo, so theirs is dropped
+    mid-file and they see texts again without it."""
     numbers = ["19.99", " 19.99", "19.99 ", "$1,200", "NA", "n/a", "", "nan", "inf", "-0.0", "0.0", "$1,200"]
     words = ["acme", " acme", "acme ", "Acme", "NA", "n/a", "", "nan", "-0.0"]
     fields = [
@@ -112,9 +113,30 @@ def test_read_rows_parses_each_field_as_parsing_it_alone(tmp_path):
     assert len({id(row[4]) for row in rows if row[4] == 1200.0}) == 1  # repeats share one value
 
 
+def test_read_rows_drops_a_full_memo(tmp_path, monkeypatch):
+    """A column whose memo fills parses every cell from the next check on;
+    a column of few texts keeps parsing each text once."""
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_numeric(text)
+
+    monkeypatch.setattr(data_model, "MEMO_TEXTS", 4)
+    monkeypatch.setattr(data_model, "parse_numeric", counted)
+    prices = ["1", "2", "3", "4", "1", "2", "1", "1", "2", "1", "1"]
+    path = write_table(tmp_path, [HEADER] + [f"p,b,c,m,{price},4.5,120,3,0.2,{i % 2}" for i, price in enumerate(prices)])
+    rows = list(read_rows(path, default_schema()))
+    assert [row[4] for row in rows] == [float(price) for price in prices]
+    # Price: 4 texts fill the memo by the check before row 5, so rows 5-11
+    # parse each cell; Sales: 2 texts, parsed once each.  The rest: once.
+    assert calls.count("1") == 1 + 5 + 1 and calls.count("2") == 1 + 2
+    assert calls.count("0") == 1 and calls.count("4.5") == 1
+
+
 def test_read_rows_memo_does_not_grow_with_the_file(tmp_path):
-    """Reading a file whose every text is new keeps one memo's worth per
-    column, however long the file: the memo clears when full."""
+    """Reading a file whose every text is new keeps at most one memo's worth
+    per column, however long the file: a full memo is dropped."""
 
     def peak(n_rows):
         path = write_table(tmp_path, [HEADER] + [f"p{i},b{i},c{i},m{i},{i},{i},{i},{i},{i},{i}" for i in range(n_rows)])
