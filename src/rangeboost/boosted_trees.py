@@ -238,21 +238,19 @@ _HISTOGRAM_CELLS = 1 << 17
 
 def _histogram(bins: _Bins, rows: np.ndarray, grad: np.ndarray) -> _Histogram:
     """G and H of ``rows`` per bin; each bin folds its rows in the order of
-    ``rows``, ascending in the grower.  Each bin belongs to one column, so
-    counting a block of columns at a time folds every bin in that order too,
-    and every G and H keeps its bits."""
-    size, width = bins.values.size, bins.codes.shape[1]
+    ``rows``, ascending in the grower.  Each block of columns is counted
+    over every bin and the counts are summed.  A bin belongs to one block,
+    and the others add +0.0 to it: a ``bincount`` sum starts at +0.0, so it
+    is never -0.0, and every G and H keeps its bits."""
+    size, weights = bins.values.size, grad[rows]
     step = max(1, _HISTOGRAM_CELLS // max(1, rows.shape[0]))  # columns per block
-    g, h, weights = np.empty(size), np.empty(size, dtype=np.intp), grad[rows]
-    for lo in range(0, width, step):
+    for lo in range(0, max(1, bins.codes.shape[1]), step):  # once when no column is kept
         block = bins.codes[rows, lo : lo + step]
-        first, end = bins.column.searchsorted((lo, lo + step))
-        if first:  # the block's own bins, from 0
-            block -= first
-        codes = block.ravel()
-        g[first:end] = np.bincount(codes, weights=weights.repeat(block.shape[1]), minlength=end - first)
-        h[first:end] = np.bincount(codes, minlength=end - first)
-    return _Histogram(bins, g, h)
+        block_g = np.bincount(block.ravel(), weights=weights.repeat(block.shape[1]), minlength=size)
+        block_h = np.bincount(block.ravel(), minlength=size)
+        g, h = (block_g, block_h) if lo == 0 else (g + block_g, h + block_h)
+    # An empty bincount is intp whatever its weights: no rows, or no bins.
+    return _Histogram(bins, g.astype(np.float64, copy=False), h)
 
 
 def find_best_split(
@@ -298,17 +296,17 @@ def find_best_split(
     g_right = g_total - g_left
 
     lam = config.reg_lambda
-    # Each side holds a row and lambda >= 0, so H + lambda > 0 on both.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = (
-            0.5
-            * (
-                g_left * g_left / (h_left + lam)
-                + g_right * g_right / (h_right + lam)
-                - (g_total * g_total) / (h_total + lam)
-            )
-            - config.gamma
+    # Each side holds a row and lambda >= 0, so no denominator is below 1;
+    # train's _MAX_GRAD_SUM keeps every square finite.
+    gains = (
+        0.5
+        * (
+            g_left * g_left / (h_left + lam)
+            + g_right * g_right / (h_right + lam)
+            - (g_total * g_total) / (h_total + lam)
         )
+        - config.gamma
+    )
 
     best = int(gains.argmax())
     if not gains[best] > 0.0:

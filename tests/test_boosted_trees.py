@@ -1,11 +1,14 @@
 import gc
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import enumerate_best_split, golden_section_minimize, leaf_objective
+from oracles import enumerate_best_split, golden_section_minimize, leaf_objective, reference_train
 from spoiled_matrices import SPOILED_MATRICES
 from rangeboost import boosted_trees
 from rangeboost.baseline_models import GbdtBaselineConfig, fit_gbdt_first_order
@@ -458,7 +461,10 @@ def test_histogram_cell_budget_changes_no_model_byte(monkeypatch):
 def test_histogram_blocks_keep_every_bit(monkeypatch):
     """Built and sibling-subtracted histograms hold the same G and H bits
     whether the columns are counted one at a time, three at a time (a block
-    left over at the end) or all at once."""
+    left over at the end) or all at once.  So do a matrix that keeps no
+    column, a one-row node and an empty row set, at budgets of 1 and 7 cells
+    and the default: G float64 and H intp, one of each per bin."""
+    default_cells = boosted_trees._HISTOGRAM_CELLS
     matrix, _ = _awkward_catalog()
     n = matrix.shape[0]
     rng = np.random.default_rng(59)
@@ -477,6 +483,96 @@ def test_histogram_blocks_keep_every_bit(monkeypatch):
         for (g, h), (g_whole, h_whole) in zip(histograms(cells), whole):
             assert np.array_equal(g.view(np.int64), g_whole.view(np.int64))
             assert np.array_equal(h.view(np.int64), h_whole.view(np.int64))
+
+    no_column = boosted_trees._rank_codes(np.full((n, 3), 2.5))
+    assert no_column.codes.shape == (n, 0)
+    for edge_bins, node in ((no_column, rows), (bins, rows[7:8]), (bins, rows[:0])):
+        found = []
+        for cells in (1, 7, default_cells):
+            monkeypatch.setattr(boosted_trees, "_HISTOGRAM_CELLS", cells)
+            hist = boosted_trees._histogram(edge_bins, node, grad)
+            assert hist.g.dtype == np.float64 and hist.h.dtype == np.intp
+            assert hist.g.shape == hist.h.shape == (edge_bins.values.size,)
+            found.append((hist.g.view(np.int64), hist.h.view(np.int64)))
+        for g, h in found[1:]:
+            assert np.array_equal(g, found[0][0]) and np.array_equal(h, found[0][1])
+
+
+@st.composite
+def _small_training_sets(draw):
+    """2-64 rows of 1-6 columns whose values repeat: 0/1 columns, columns
+    from a small pool, constant columns, copies of an earlier column, and
+    columns of two neighbouring floats; targets from a small pool or any
+    moderate float."""
+    n = draw(st.integers(2, 64))
+    above_one = float(np.nextafter(1.0, 2.0))
+    pools = {
+        "flag": st.sampled_from([0.0, 1.0]),
+        "pool": st.sampled_from([-2.5, 0.0, 0.75, 3.0, 1e3]),
+        "neighbours": st.sampled_from([1.0, above_one]),
+    }
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["flag", "pool", "neighbours", "constant", "copy"]))
+        if kind == "copy" and columns:
+            columns.append(list(draw(st.sampled_from(columns))))
+        elif kind == "constant":
+            columns.append([draw(pools["pool"])] * n)
+        else:  # a copy with no earlier column is a 0/1 column
+            columns.append(draw(st.lists(pools.get(kind, pools["flag"]), min_size=n, max_size=n)))
+    target = st.one_of(st.sampled_from([0.0, 1.0, -3.5]), st.floats(-1e3, 1e3))
+    return np.array(columns).T, np.array(draw(st.lists(target, min_size=n, max_size=n)))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    data=_small_training_sets(),
+    reg_lambda=st.sampled_from([0.0, 1.0]),
+    gamma=st.sampled_from([0.0, 0.5]),
+    min_child_weight=st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]),
+    max_depth=st.integers(1, 4),
+    n_trees=st.integers(1, 5),
+    learning_rate=st.sampled_from([0.1, 1.0]),
+    one_cell=st.booleans(),
+)
+def test_train_matches_the_scalar_reference_grower(
+    data, reg_lambda, gamma, min_child_weight, max_depth, n_trees, learning_rate, one_cell
+):
+    """Every byte of a model equals the scalar reference's, with one-column
+    histogram blocks and with the default budget."""
+    matrix, targets = data
+    config = TrainConfig(n_trees=n_trees, learning_rate=learning_rate, reg_lambda=reg_lambda,
+                         gamma=gamma, max_depth=max_depth, min_child_weight=min_child_weight)
+    cells = 1 if one_cell else boosted_trees._HISTOGRAM_CELLS
+    with mock.patch.object(boosted_trees, "_HISTOGRAM_CELLS", cells):
+        text = json.dumps(to_json(train(matrix, targets, config)))
+    assert text == json.dumps(reference_train(matrix, targets, config))
+
+
+def test_gain_needs_no_error_suppression():
+    """With every floating-point error raised, training and direct searches
+    run at lambda = 0, gamma = 0 and min_child_weight 0 or 1, on one-row
+    children, neighbouring floats and a gradient sum just below the bound."""
+    above_one = float(np.nextafter(1.0, 2.0))
+    matrix = np.array([[1.0, 0.0], [above_one, 1.0], [above_one, 0.0], [3.0, 1.0]])
+    near_bound = float(np.nextafter(boosted_trees._MAX_GRAD_SUM / 4.0, 0.0))
+    big = np.array([near_bound, near_bound, -near_bound, -near_bound])
+    assert np.abs(big).sum() < boosted_trees._MAX_GRAD_SUM
+    with np.errstate(all="raise"):
+        for min_child_weight in (0.0, 1.0):
+            config = TrainConfig(n_trees=5, max_depth=4, reg_lambda=0.0, gamma=0.0,
+                                 min_child_weight=min_child_weight)
+            for targets in (np.array([1.0, -2.0, 0.5, 4.0]), -big):
+                model = train(matrix, targets, config)
+                assert isinstance(model.trees[0].nodes[0], Branch)
+            for grad in (np.array([1.0, -2.0, 0.5, 4.0]), big):
+                for rows in (np.arange(4), np.array([0, 1]), np.array([1, 2, 3]), np.array([2, 3])):
+                    split = find_best_split(rows, matrix, grad, config)
+                    assert split is None or np.isfinite(split.gain)
+            # Both cuts of the first column leave one row on a side and tie;
+            # the first wins, and between neighbours only ``hi`` cuts.
+            one_row_left = find_best_split(np.arange(4), matrix, big, config)
+            assert (one_row_left.feature, one_row_left.threshold) == (0, above_one)
 
 
 def test_rank_codes_dedupe_by_bytes():
