@@ -248,7 +248,11 @@ def _histogram(bins: _Bins, rows: np.ndarray, grad: np.ndarray) -> _Histogram:
         block = bins.codes[rows, lo : lo + step]
         block_g = np.bincount(block.ravel(), weights=weights.repeat(block.shape[1]), minlength=size)
         block_h = np.bincount(block.ravel(), minlength=size)
-        g, h = (block_g, block_h) if lo == 0 else (g + block_g, h + block_h)
+        if lo == 0:  # fresh arrays from bincount, so later blocks add in place
+            g, h = block_g, block_h
+        else:
+            g += block_g
+            h += block_h
     # An empty bincount is intp whatever its weights: no rows, or no bins.
     return _Histogram(bins, g.astype(np.float64, copy=False), h)
 

@@ -17,6 +17,10 @@ class ModelError(RangeboostError):
     """Invalid model state or model document (exit code 4)."""
 
 
+class WorkerDied(RangeboostError):
+    """A ``predict`` worker process ended without a result (exit code 5)."""
+
+
 class InvalidConfig(ConfigError):
     pass
 

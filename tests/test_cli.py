@@ -1,12 +1,17 @@
+import concurrent.futures
 import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
+import multiprocessing
+import os
 import re
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -16,6 +21,7 @@ from hypothesis import strategies as st
 from rangeboost import boosted_trees, cli, eval_harness, feature_pipeline
 from rangeboost.cli import main
 from rangeboost.data_model import default_schema, load_csv, schema_to_json
+from rangeboost.errors import NonFiniteInput
 from rangeboost.eval_harness import experiment_from_json
 from rangeboost.feature_pipeline import ColorLexicon, default_plan, plan_to_json, state_from_json, state_to_json, transform
 from rangeboost.jsondoc import to_doc
@@ -737,6 +743,114 @@ def test_predict_memory_grows_with_the_block_not_the_file(trained, tmp_path, mon
     per_block_row = (long_big_blocks - long) / (400 - 20)
     assert per_file_row < 100
     assert per_block_row > 5 * per_file_row
+
+
+def _pools(monkeypatch, workers) -> list:
+    """Make ``predict`` see ``workers`` usable CPUs; the returned list gets
+    the worker count of each pool it starts."""
+    started = []
+
+    def pool(max_workers, *args, **kwargs):
+        started.append(max_workers)
+        return ProcessPoolExecutor(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    return started
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 8, 40])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_predict_in_workers_matches_in_process(workers, block_rows, trained, tmp_path, monkeypatch):
+    """Blocks scored by a pool of up to MAX_WORKERS workers, from two full
+    blocks on, write the bytes of the in-process one-block run, and no
+    worker outlives predict."""
+    data, model = trained
+    assert _predict(model, data, tmp_path / "whole.csv") == 0
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+    pools = _pools(monkeypatch, workers)
+    assert _predict(model, data, tmp_path / "blocks.csv") == 0
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert pools == ([min(workers, cli.MAX_WORKERS)] if workers > 1 and 40 >= 2 * block_rows else [])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("reason", ["one-block", "one-full-block", "second-thread"])
+def test_predict_scores_in_process_without_a_pool(reason, trained, tmp_path, monkeypatch):
+    """A file within one block, a full block followed by a partial one, or a
+    process with a second thread scores in-process, with the same bytes."""
+    data, model = trained
+    assert _predict(model, data, tmp_path / "whole.csv") == 0
+    monkeypatch.setattr(cli, "BLOCK_ROWS", {"one-block": 41, "one-full-block": 21}.get(reason, 7))
+    pools = _pools(monkeypatch, 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    if reason == "second-thread":
+        thread.start()
+    try:
+        assert _predict(model, data, tmp_path / "blocks.csv") == 0
+    finally:
+        release.set()
+        if thread.ident is not None:
+            thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert pools == []
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_predict_bad_row_while_workers_run_writes_nothing(workers, trained, tmp_path, monkeypatch, capsys):
+    """A parse error in the parent, with earlier blocks in the pool, exits 3
+    as in-process, leaves --out untouched and leaves no worker running."""
+    pools = _pools(monkeypatch, workers)
+    test_predict_bad_row_in_a_later_block_writes_nothing(trained, tmp_path, monkeypatch, capsys)
+    assert pools == [min(workers, cli.MAX_WORKERS)]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failure", ["worker-dies", "worker-raises"])
+def test_predict_worker_failure_exits_with_one_line(failure, trained, tmp_path, monkeypatch, capfd):
+    """A worker that dies mid-run (here on its second block) ends predict with
+    exit 5, and a package error raised in a worker is raised unchanged; one
+    line on stderr and no traceback either way, --out untouched, and no
+    worker left running."""
+    data, model = trained
+    parent, calls = os.getpid(), []
+    score = boosted_trees.Ensemble.predict
+
+    def fails_in_a_worker(ensemble, matrix):
+        if os.getpid() != parent:
+            calls.append(matrix)
+            if failure == "worker-raises":
+                raise NonFiniteInput("scored in a worker")
+            if len(calls) == 2:
+                os._exit(1)
+        return score(ensemble, matrix)
+
+    monkeypatch.setattr(boosted_trees.Ensemble, "predict", fails_in_a_worker)
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+    pools = _pools(monkeypatch, 2)
+    out = tmp_path / "preds.csv"
+    out.write_text("earlier predictions\n", encoding="utf-8")
+    expected_code, expected_err = {
+        "worker-dies": (5, "worker error: "),
+        "worker-raises": (3, "data error: scored in a worker\n"),
+    }[failure]
+    assert _predict(model, data, out) == expected_code
+    err = capfd.readouterr().err
+    assert err.startswith(expected_err) and err.count("\n") == 1 and "Traceback" not in err
+    assert out.read_text(encoding="utf-8") == "earlier predictions\n"
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_predict_memory_bound_holds_for_each_worker_count(workers, trained, tmp_path, monkeypatch):
+    """The allocation bound holds in-process, where tracemalloc sees every
+    allocation of the scoring, and with a pool, whose blocks in flight
+    this process holds."""
+    _pools(monkeypatch, workers)
+    test_predict_memory_grows_with_the_block_not_the_file(trained, tmp_path, monkeypatch)
 
 
 def _paths(value, path=()):
