@@ -88,9 +88,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
-# The pool's size: 2 workers were measured (score_100k, 2 CPUs).  The parent
-# parses every block serially, about half of predict's time, so a third
-# worker would mostly wait; widen this with a paired run on 3 or more CPUs.
+# The pool's size, the only count measured (score_100k, 2 CPUs).  The parent
+# parses every block serially while the workers encode and score, so a third
+# worker may mostly wait; widen this with a paired run on 3 or more CPUs.
 MAX_WORKERS = 2
 
 
@@ -101,48 +101,43 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _encoded_blocks(state, rows):
-    """The encoded blocks of ``BLOCK_ROWS`` rows of ``rows`` (fewer in the
-    last); at least one, so a header-only CSV is encoded and scored too.
-    Each block's parsed rows are freed once it is encoded."""
-    full = True
-    while full:
-        matrix = transform(DataTable(state.schema, tuple(islice(rows, BLOCK_ROWS))), state)[0]
-        full = len(matrix) == BLOCK_ROWS
-        yield matrix
-        del matrix  # not held while the next block is parsed
+def _encode(state, rows) -> np.ndarray:
+    """One block of parsed rows, encoded.  In-process it is mapped over the
+    blocks, so each block's rows are freed before its matrix is scored."""
+    return transform(DataTable(state.schema, rows), state)[0]
 
 
-_worker_ensemble = None  # set in each pool worker; fork hands it over unpickled
+_worker_model = None  # (ensemble, state) in each pool worker; fork hands it over unpickled
 
 
-def _init_worker(ensemble) -> None:
-    global _worker_ensemble
-    _worker_ensemble = ensemble
+def _init_worker(ensemble, state) -> None:
+    global _worker_model
+    _worker_model = ensemble, state
 
 
-def _score_in_worker(matrix) -> np.ndarray:
-    return _worker_ensemble.predict(matrix)
+def _score_in_worker(rows) -> np.ndarray:
+    ensemble, state = _worker_model
+    return ensemble.predict(_encode(state, rows))
 
 
-def _score(ensemble, blocks) -> list[np.ndarray]:
-    """Predictions for each of ``blocks``, in order.  From two full blocks
-    on, a fork pool of ``MAX_WORKERS`` workers scores them while this process
-    encodes the next, with at most ``MAX_WORKERS + 1`` blocks in flight.  A
-    file of fewer rows, one usable CPU, or a thread beside this one (forking
-    would copy its locks in whatever state they are) score in-process."""
+def _score(ensemble, state, blocks) -> list[np.ndarray]:
+    """Predictions for each of ``blocks`` of parsed rows, in order.  From
+    two full blocks on, a fork pool of ``MAX_WORKERS`` workers encodes and
+    scores them while this process parses the next, with at most
+    ``MAX_WORKERS + 1`` blocks in flight.  A file of fewer rows, one usable
+    CPU, or a thread beside this one (forking would copy its locks in
+    whatever state they are) score in-process, where a block's rows and
+    its matrix are each freed before the next block is parsed; only a
+    process that may start a pool reads blocks ahead."""
     workers = min(_usable_cpus(), MAX_WORKERS)
-    head = [next(blocks)]
-    pooled = workers > 1 and threading.active_count() == 1 and len(head[0]) == BLOCK_ROWS
-    if pooled:  # a full block is always followed by one
-        head.append(next(blocks))
-        pooled = len(head[1]) == BLOCK_ROWS
-    # Each block is freed once scored: an exhausted list iterator drops its
+    head = list(islice(blocks, 2)) if workers > 1 and threading.active_count() == 1 else []
+    pooled = len(head) == 2 and len(head[1]) == BLOCK_ROWS  # only the last block is short
+    # Each block is freed once used: an exhausted list iterator drops its
     # list, where chain would hold a list among its arguments to the end.
     blocks = chain(iter(head), blocks)
     del head
     if not pooled:
-        return list(map(ensemble.predict, blocks))
+        return list(map(ensemble.predict, map(lambda rows: _encode(state, rows), blocks)))
     # Imported only here: the pool's modules add about 1.3 MiB of resident
     # memory and 15 ms of start-up to every command that starts no pool.
     import multiprocessing
@@ -152,9 +147,9 @@ def _score(ensemble, blocks) -> list[np.ndarray]:
     parts, pending = [], deque()
     context = multiprocessing.get_context("fork")
     try:
-        with ProcessPoolExecutor(workers, context, initializer=_init_worker, initargs=(ensemble,)) as pool:
-            for matrix in blocks:
-                pending.append(pool.submit(_score_in_worker, matrix))
+        with ProcessPoolExecutor(workers, context, initializer=_init_worker, initargs=(ensemble, state)) as pool:
+            for rows in blocks:
+                pending.append(pool.submit(_score_in_worker, rows))
                 if len(pending) > workers:
                     parts.append(pending.popleft().result())
             parts.extend(future.result() for future in pending)
@@ -179,12 +174,11 @@ def _cmd_predict(args) -> int:
     if ensemble.feature_layout != state.layout:
         raise MalformedModel(f"model file {args.model}: its feature_layout differs from pipeline.layout")
     rows = read_rows(args.data, state.schema, allow_missing_target=True)
-    parts = _score(ensemble, _encoded_blocks(state, rows))
+    parts = _score(ensemble, state, iter(lambda: tuple(islice(rows, BLOCK_ROWS)), ()))
     with _writing(args.out), open(args.out, "w", encoding="utf-8") as handle:
         handle.write("prediction\n")
         for part in parts:  # one block's text at a time
-            if len(part):
-                handle.write("\n".join(map(repr, part.tolist())) + "\n")
+            handle.write("\n".join(map(repr, part.tolist())) + "\n")
     print(f"wrote {sum(map(len, parts))} predictions to {args.out}")
     return 0
 

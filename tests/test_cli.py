@@ -759,7 +759,7 @@ def _pools(monkeypatch, workers) -> list:
     return started
 
 
-@pytest.mark.parametrize("block_rows", [1, 7, 8, 40])
+@pytest.mark.parametrize("block_rows", [1, 7, 8, 20, 40])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_predict_in_workers_matches_in_process(workers, block_rows, trained, tmp_path, monkeypatch):
     """Blocks scored by a pool of up to MAX_WORKERS workers, from two full
@@ -847,10 +847,36 @@ def test_predict_worker_failure_exits_with_one_line(failure, trained, tmp_path, 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_predict_memory_bound_holds_for_each_worker_count(workers, trained, tmp_path, monkeypatch):
     """The allocation bound holds in-process, where tracemalloc sees every
-    allocation of the scoring, and with a pool, whose blocks in flight
-    this process holds."""
+    allocation of the scoring, and with a pool, where this process holds
+    the parsed rows of the blocks in flight."""
     _pools(monkeypatch, workers)
     test_predict_memory_grows_with_the_block_not_the_file(trained, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_predict_encodes_each_block_where_it_is_scored(workers, trained, tmp_path, monkeypatch):
+    """With a pool, the workers encode every block and this process, which
+    only parses, encodes none; in-process, it encodes each block once."""
+    data, model = trained
+    calls = tmp_path / "transform-pids.txt"
+    encode = cli.transform
+
+    def recorded(*args, **kwargs):
+        with open(calls, "a", encoding="utf-8") as handle:  # one line per call, from any process
+            handle.write(f"{os.getpid()}\n")
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "transform", recorded)
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+    pools = _pools(monkeypatch, workers)
+    assert _predict(model, data, tmp_path / "preds.csv") == 0
+    pids = calls.read_text(encoding="utf-8").split()
+    assert len(pids) == 6  # 40 rows: five blocks of 7 and one of 5
+    if workers == 1:
+        assert pools == [] and set(pids) == {str(os.getpid())}
+    else:
+        assert pools == [2] and str(os.getpid()) not in pids
+    assert multiprocessing.active_children() == []
 
 
 def _paths(value, path=()):
