@@ -512,7 +512,7 @@ def objective_value(
 # bundle written by `train` adds the encoder, schema, target mode and bins; a
 # bare ensemble has none of them.
 FORMAT_VERSION = 1
-_TREE = {"root": Literal[0], "nodes": tuple[dict, ...]}
+_TREE = {"root": Literal[0], "nodes": list}
 _ENSEMBLE = {"format_version": Literal[FORMAT_VERSION], "kind": Literal["ensemble"],
              "base_score": float, "learning_rate": float, "feature_layout": tuple[str, ...],
              "trees": list}
@@ -539,32 +539,29 @@ def _require(condition: bool, location: str, message: str) -> None:
 
 
 def _check_tree(doc, layout_size: int, location: str) -> tuple[RegressionTree, float]:
-    """The tree ``doc`` decodes to, and the largest |weight| of its leaves."""
+    """The tree ``doc`` decodes to, and the largest |weight| of its leaves.  One
+    walk from the root, left child first (index order for a tree `train` wrote),
+    decodes and bounds each node where it first reaches it."""
     doc = check_doc(doc, _TREE, MalformedModel, location, required=_TREE.keys())
     size = len(doc["nodes"])
     _require(size > 0, location, "a tree needs at least one node")
-    nodes, largest = [], 0.0
-    for i, node_doc in enumerate(doc["nodes"]):
+    nodes, largest, stack = [None] * size, 0.0, [0]
+    while stack:
+        i = stack.pop()
         where = f"{location}.nodes[{i}]"
-        node = from_doc(Leaf if "weight" in node_doc else Branch, node_doc, MalformedModel, where)
-        if isinstance(node, Branch):
+        _require(nodes[i] is None, where, "node reached twice (cycle or shared child)")
+        node_doc = doc["nodes"][i]
+        is_leaf = isinstance(node_doc, dict) and "weight" in node_doc
+        node = nodes[i] = from_doc(Leaf if is_leaf else Branch, node_doc, MalformedModel, where)
+        if is_leaf:
+            largest = max(largest, abs(node.weight))
+        else:
             feature, left, right = node.feature, node.left, node.right
             _require(0 <= feature < layout_size, where, f"feature index {feature} not in [0, {layout_size})")
             _require(0 <= left < size and 0 <= right < size, where, f"child {left} or {right} out of range")
-        else:
-            largest = max(largest, abs(node.weight))
-        nodes.append(node)
-
-    seen: set[int] = set()
-    stack = [0]
-    while stack:
-        idx = stack.pop()
-        _require(idx not in seen, f"{location}.nodes[{idx}]", "node reached twice (cycle or shared child)")
-        seen.add(idx)
-        node = nodes[idx]
-        if isinstance(node, Branch):
-            stack.extend((node.left, node.right))
-    _require(len(seen) == size, location, f"{size - len(seen)} node(s) unreachable from the root")
+            stack.extend((right, left))
+    unreached = nodes.count(None)
+    _require(unreached == 0, location, f"{unreached} node(s) unreachable from the root")
     return RegressionTree(nodes=tuple(nodes)), largest
 
 

@@ -1,10 +1,15 @@
-"""Independent reference implementations the tests check the learners against.
+"""Independent reference implementations the tests check the package against.
 
 These deliberately avoid the library's own code paths: the minimizer is a
 golden-section search, the split oracle enumerates every candidate with
-masked sums, and the reference grower is scalar Python written from the
-learner's stated rules.
+masked sums, the reference grower is scalar Python written from the
+learner's stated rules, and the reference scorer reads a CSV and a model
+document by README's rules, one row and one tree at a time.
 """
+
+import csv
+import io
+import math
 
 import numpy as np
 
@@ -216,3 +221,135 @@ def reference_train(matrix, targets, config):
         "feature_layout": [f"f{j}" for j in range(width)],
         "trees": trees,
     }
+
+
+class Rejected(Exception):
+    """An input ``rangeboost predict`` must reject: ``code`` is its exit code
+    and ``line`` the one line it writes to stderr, for a CSV named input.csv."""
+
+    def __init__(self, code, line):
+        super().__init__(line)
+        self.code, self.line = code, line
+
+
+MISSING_TOKENS = ("", "na", "n/a")
+
+
+def _number(text):
+    """A numeric cell: a leading currency sign and thousands separators are
+    allowed, and text that is not a finite number is missing."""
+    text = text.strip()
+    for candidate in (text, text.lstrip("$£€¥").replace(",", "").strip()):
+        try:
+            value = float(candidate)
+        except ValueError:
+            continue
+        return value if math.isfinite(value) else None
+    return None
+
+
+def _category(text):
+    """A categorical cell, trimmed; a missing token in any case is missing."""
+    text = text.strip()
+    return None if text.lower() in MISSING_TOKENS else text
+
+
+def _colour(raw, lexicon):
+    """Two delimiter-separated parts are "composite", three or more
+    "colourful"; one part is its last base colour once shade modifiers are
+    dropped, else the trimmed lowercase text."""
+    text = raw.strip().lower()
+    marked = text
+    for delimiter in lexicon["multi_color_delimiters"]:
+        marked = marked.replace(delimiter, "\0")
+    parts = [part for part in marked.split("\0") if part.strip()]
+    if len(parts) >= 3:
+        return "colourful"
+    if len(parts) == 2:
+        return "composite"
+    words = [word for word in text.split() if word not in lexicon["modifier_tokens"]]
+    return next((word for word in reversed(words) if word in lexicon["base_colors"]), text)
+
+
+def _encode(row, state):
+    """One row's feature vector: each numeric feature, filled per its plan
+    where missing, then the one-hot indicators of each categorical feature's
+    vocabulary, over values after cross-fill and colour normalization."""
+    features = [column for column in state["schema"] if column["role"] == "feature"]
+    plan, resolved = state["plan"], {}
+    for column in (c for c in features if c["kind"] == "categorical"):
+        name, rule = column["name"], plan[column["name"]]
+        own = row[name]
+        if rule["strategy"] == "cross_fill":
+            other = row[rule["partner"]] if rule["partner"] is not None else None
+            resolved[name] = own if own is not None else other if other is not None else "unknown"
+        else:  # color_normalize
+            resolved[name] = None if own is None else _colour(own, state["lexicon"])
+    vector = []
+    for column in (c for c in features if c["kind"] == "numeric"):
+        name, value = column["name"], row[column["name"]]
+        if value is None and plan[name]["strategy"] == "hierarchical_mean":
+            # The first tier whose group was seen at fit; a missing key skips a tier.
+            for tier, means in zip(plan[name]["tiers"], state["group_means"][name]):
+                key = [resolved[key_column] for key_column in tier]
+                seen = [mean for group, mean in means["means"] if group == key]
+                if None not in key and seen:
+                    value = seen[0]
+                    break
+        vector.append(0.0 if value is None else value)
+    for column in (c for c in features if c["kind"] == "categorical"):
+        value = resolved[column["name"]]
+        vector.extend(1.0 if value == entry else 0.0 for entry in state["vocabularies"][column["name"]])
+    return vector
+
+
+def _score(vector, model_doc):
+    """The base score plus, tree by tree, the weight of the leaf the row
+    reaches: left where its value is below the threshold, else right."""
+    total = float(model_doc["base_score"])
+    for tree in model_doc["trees"]:
+        node = tree["nodes"][0]
+        while "weight" not in node:
+            below = vector[node["feature"]] < node["threshold"]
+            node = tree["nodes"][node["left"] if below else node["right"]]
+        total += node["weight"]
+    return total
+
+
+def reference_predict(csv_text, model_doc):
+    """The lines of the file ``rangeboost predict`` writes for the CSV
+    ``csv_text``, saved as input.csv, under the `train` bundle ``model_doc``;
+    ``Rejected`` if it must exit with an error instead.
+
+    From README: a leading byte-order mark and blank lines are skipped;
+    columns are matched by header name, and a schema column named twice, or
+    missing (the target may be), is a data error naming it, in schema order;
+    a row whose field count differs from the header's is a data error at its
+    line; each row's prediction is written as Python's ``repr``."""
+    state = model_doc["pipeline"]
+    records = csv.reader(io.StringIO(csv_text.removeprefix("\ufeff"), newline=""))
+    header = next(records, None)
+    if header is None:
+        raise Rejected(3, "data error: input.csv: file has no header row")
+    for column in state["schema"]:
+        name = column["name"]
+        if header.count(name) > 1:
+            raise Rejected(3, f"data error: input.csv: column {name!r} appears more than once in the header")
+        if name not in header and column["role"] != "target":
+            raise Rejected(3, f"data error: input.csv: column {name!r} not in header")
+    lines = ["prediction"]
+    for fields in records:
+        if not fields:
+            continue
+        if len(fields) != len(header):
+            raise Rejected(
+                3, f"data error: line {records.line_num}: expected {len(header)} fields, got {len(fields)}"
+            )
+        cells = dict(zip(header, fields))
+        row = {
+            column["name"]: None if column["name"] not in cells
+            else (_number if column["kind"] == "numeric" else _category)(cells[column["name"]])
+            for column in state["schema"]
+        }
+        lines.append(repr(_score(_encode(row, state), model_doc)))
+    return lines

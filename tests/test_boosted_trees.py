@@ -991,6 +991,27 @@ def test_from_json_rejects_unreachable_nodes():
         from_json(_document_with_nodes(nodes))
 
 
+def test_from_json_reports_a_malformed_node_it_cannot_reach_as_unreachable():
+    """The walk from the root never decodes node 1, so its bad weight is not
+    what is reported."""
+    nodes = [{"weight": 0.5}, {"weight": "heavy"}]
+    with pytest.raises(MalformedModel, match=r"^model\.trees\[0\]: 1 node\(s\) unreachable from the root$"):
+        from_json(_document_with_nodes(nodes))
+
+
+@pytest.mark.parametrize("node", [5, None, "weight"])
+def test_from_json_rejects_a_reachable_node_that_is_not_an_object(node):
+    nodes = [{"feature": 0, "threshold": 1.0, "left": 1, "right": 2}, node, {"weight": -0.5}]
+    with pytest.raises(MalformedModel, match=r"^model\.trees\[0\]\.nodes\[1\] must be a JSON object"):
+        from_json(_document_with_nodes(nodes))
+
+
+def test_from_json_rejects_a_branch_whose_children_are_one_node():
+    nodes = [{"feature": 0, "threshold": 1.0, "left": 1, "right": 1}, {"weight": 0.5}]
+    with pytest.raises(MalformedModel, match=r"^model\.trees\[0\]\.nodes\[1\]: node reached twice"):
+        from_json(_document_with_nodes(nodes))
+
+
 def test_from_json_loads_only_ensembles():
     document = _document_with_nodes([{"weight": 0.5}])
     assert from_json(document).trees[0].nodes[0].weight == 0.5

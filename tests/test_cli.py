@@ -486,6 +486,8 @@ MALFORMED_INPUTS = {
     ),
     "model-tree-root-out-of-range": ("predict", "--model", lambda d: d["trees"][0].update(root=5), 4),
     "model-tree-no-nodes": ("predict", "--model", lambda d: d["trees"][0].update(nodes=[]), 4),
+    "model-tree-node-not-object": ("predict", "--model", lambda d: d["trees"][0]["nodes"].__setitem__(0, 5), 4),
+    "model-tree-root-is-its-own-left-child": ("predict", "--model", lambda d: d["trees"][0]["nodes"][0].update(left=0), 4),
     "train-csv-empty": ("train", "--data", b"", 3),
     "train-csv-raw-sales-gradient-sum-overflows": (
         "train",
